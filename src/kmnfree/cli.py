@@ -800,7 +800,3 @@ def dispatch(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

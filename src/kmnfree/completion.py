@@ -5,7 +5,9 @@ deficient line set is an n-set of lines with at most m-2 common points.  One
 completion step adds, simultaneously against the start-of-stage structure,
 one fresh line per deficient point set (incident exactly with it) and one
 fresh point per deficient line set.  Iterating yields the free completion;
-every stage stays K_{m,n}-free.
+every stage stays K_{m,n}-free.  Steps add their fresh incidences unguarded,
+because no fresh element can lie in a grid (proof at ``complete_step``);
+``LazyCompletion`` spawns through the guarded add.
 
 Also here:
 
@@ -13,9 +15,6 @@ Also here:
   I-closed subset A inside the completion of the whole structure, stage by
   stage, and verifies the characteristic postconditions (each Y_k I-closed,
   no stray incidences, stage-wise isomorphism with the free completion of A).
-* ``confined_configurations``: the maximal subconfiguration in which every
-  line carries >= 3 points and every point >= 3 lines (parameters (2,2)).
-  Free completions never create such configurations outside the seed.
 * ``LazyCompletion``: a growable workspace representing the completion "as
   deep as needed".  Instead of building whole stages it spawns exactly the
   fresh elements forced by a given same-sort set.  Spawned elements
@@ -37,7 +36,6 @@ from .core import (
     Sort,
     StructureBuilder,
     colex_combinations,
-    common_neighbors,
     induced,
     is_kmn_free,
     isomorphic_over,
@@ -72,16 +70,18 @@ class DeficientSets:
 
 def _deficient(s: IncidenceStructure) -> DeficientSets:
     m, n = s.params.m, s.params.n
-    pts, lns = sorted(s.points), sorted(s.lines)
-    psets = []
-    for sigma in colex_combinations(pts, m):
-        if len(common_neighbors(s, sigma)) <= n - 2:
-            psets.append(frozenset(sigma))
-    lsets = []
-    for tau in colex_combinations(lns, n):
-        if len(common_neighbors(s, tau)) <= m - 2:
-            lsets.append(frozenset(tau))
-    return DeficientSets(tuple(psets), tuple(lsets))
+    nb = s.neighbors
+    families = []
+    for elems, k, most in ((s.points, m, n - 2), (s.lines, n, m - 2)):
+        short = []
+        for sub in colex_combinations(elems, k):
+            common = nb(sub[0])
+            for e in sub[1:]:
+                common = common & nb(e)
+            if len(common) <= most:
+                short.append(frozenset(sub))
+        families.append(tuple(short))
+    return DeficientSets(*families)
 
 
 def deficient_sets(s: IncidenceStructure) -> DeficientSets:
@@ -96,27 +96,40 @@ def initial_stage(s: IncidenceStructure) -> CompletionStage:
     return CompletionStage(s, 0, {})
 
 
-def complete_step(stage: CompletionStage, _check: bool = True) -> CompletionStage:
+def complete_step(stage: CompletionStage) -> CompletionStage:
     """One completion step.  Both deficiency families are computed against
-    the incoming structure; all fresh elements are added together."""
-    s = stage.structure
-    if _check:
-        ok, witness = is_kmn_free(s)
-        if not ok:
-            raise PreconditionError(f"stage structure is not K-free: {witness}")
-    defs = _deficient(s)
-    b = StructureBuilder.from_structure(s)
+    the incoming structure; all fresh elements are added together.
+
+    The fresh incidences are added unguarded, since they cannot complete a
+    K_{m,n}.  The incoming structure is checked to be free, so a new grid
+    would contain a fresh element.  A fresh line meets exactly its spawner
+    sigma, an m-set of old points: fresh elements are never incident with
+    each other.  So the grid's m points are sigma and its n lines pass
+    through all of sigma.  But sigma had at most n-2 common lines, and no
+    other fresh line passes through it (another spawner is a different
+    m-set), so sigma now has at most n-1 common lines, fewer than n.  The
+    dual argument rules out a fresh point.
+    """
+    ok, witness = is_kmn_free(stage.structure)
+    if not ok:
+        raise PreconditionError(f"stage structure is not K-free: {witness}")
+    return _step(stage, _deficient(stage.structure))
+
+
+def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
+    """``complete_step`` on a free stage whose deficient sets are ``defs``."""
+    b = StructureBuilder.from_structure(stage.structure)
     prov = dict(stage.provenance)
     k1 = stage.k + 1
     for sigma in defs.point_sets:
         fresh = b.add_line()
         for q in sorted(sigma):
-            b.add_incidence(q, fresh)
+            b.add_incidence(q, fresh, guard=False)
         prov[fresh] = Provenance(fresh, k1, sigma)
     for tau in defs.line_sets:
         fresh = b.add_point()
         for l in sorted(tau):
-            b.add_incidence(fresh, l)
+            b.add_incidence(fresh, l, guard=False)
         prov[fresh] = Provenance(fresh, k1, tau)
     return CompletionStage(b.build(), k1, prov)
 
@@ -139,9 +152,10 @@ def free_completion(
     """Stages 0..``stages`` of the free completion of m0.
 
     Raises BudgetError if a stage would push the element count past
-    ``element_cap``.  A stage that adds nothing is a fixpoint; further stages
-    are identical and iteration stops early (the run is padded by reusing the
-    fixpoint stage object so stage indices still line up).
+    ``element_cap``.  Each stage is scanned for deficient sets once.  A stage
+    that adds nothing is a fixpoint; further stages are identical and
+    iteration stops early (the run is padded with stages sharing the
+    fixpoint's structure so stage indices still line up).
     """
     if stages < 0:
         raise ParameterError("stage count must be >= 0")
@@ -149,19 +163,22 @@ def free_completion(
     if not ok:
         raise PreconditionError(f"seed structure is not K-free: {witness}")
     run = [initial_stage(m0)]
-    for _ in range(stages):
+    while len(run) <= stages:
         cur = run[-1]
         defs = _deficient(cur.structure)
+        if not defs:
+            run += [
+                CompletionStage(cur.structure, k, cur.provenance)
+                for k in range(cur.k + 1, stages + 1)
+            ]
+            break
         grow = len(defs.point_sets) + len(defs.line_sets)
-        if grow == 0:
-            run.append(CompletionStage(cur.structure, cur.k + 1, cur.provenance))
-            continue
         if len(cur.structure) + grow > element_cap:
             raise BudgetError(
                 f"free completion stage {cur.k + 1} needs "
                 f"{len(cur.structure) + grow} elements, cap is {element_cap}"
             )
-        run.append(complete_step(cur, _check=False))
+        run.append(_step(cur, defs))
     return FreeCompletionRun(tuple(run))
 
 
@@ -306,26 +323,6 @@ def relative_free_completion(
         free_a=free_a,
         correspondence=corr,
     )
-
-
-def confined_configurations(s: IncidenceStructure) -> list:
-    """Maximal subsets where every line has >= 3 incident points and every
-    point >= 3 incident lines; parameters (2,2) only.
-
-    Confined subsets are closed under union, so iterated pruning yields the
-    unique maximal one; the result is [] or a one-element list.
-    """
-    if (s.params.m, s.params.n) != (2, 2):
-        raise ParameterError("confined configurations are defined for parameters (2,2)")
-    keep = set(s.elements())
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(keep):
-            if len(s.neighbors(e) & keep) < 3:
-                keep.discard(e)
-                changed = True
-    return [frozenset(keep)] if keep else []
 
 
 class LazyCompletion:

@@ -91,16 +91,29 @@ def colex_combinations(items: Sequence[int], k: int) -> Iterator[tuple]:
     Colex compares subsets by their largest element, then the next largest,
     and so on; equivalently, subsets of items[:j] come before any subset
     containing items[j].
+
+    Lazy and non-recursive (Knuth, TAOCP 4A, 7.2.1.3, Algorithm L): the
+    lowest position sweeps every index below c[1]; then the lowest higher
+    position that can move up does, and the ones below it restart.
     """
-    if k < 0:
+    n = len(items)
+    if k < 0 or k > n:
         return
-    if k == 0:
-        yield ()
+    if k == 0 or k == n:
+        yield tuple(items[:k])
         return
-    for top_idx in range(k - 1, len(items)):
-        top = items[top_idx]
-        for rest in colex_combinations(items[:top_idx], k - 1):
-            yield rest + (top,)
+    c = list(range(k)) + [n]
+    while True:
+        upper = tuple([items[i] for i in c[1:k]])
+        for x in items[:c[1]]:
+            yield (x,) + upper
+        j = 1
+        while j < k and c[j] + 1 == c[j + 1]:
+            c[j] = j
+            j += 1
+        if j == k:
+            return
+        c[j] += 1
 
 
 class IncidenceStructure:
@@ -208,16 +221,17 @@ class IncidenceStructure:
         )
 
 
-def new_structure(params: StructParams) -> IncidenceStructure:
-    """An empty structure with the given parameters."""
-    return IncidenceStructure(params, (), (), ())
-
-
 class StructureBuilder:
     """Mutable builder; ``build()`` snapshots an immutable structure.
 
     Incidence adds are guarded: add_incidence refuses (with a witness) any
-    incidence that would complete a K_{m,n}, unless guard=False.
+    incidence that would complete a K_{m,n}, unless guard=False.  Unguarded
+    adds are for completion steps (a fresh element meets only its spawner
+    set, which stays short of a grid; see ``completion.complete_step``),
+    induced substructures and reducts (substructures of free structures are
+    free), extensions, amalgams and pattern candidates (each scans its
+    result with ``is_kmn_free`` once), and document parsing (a document may
+    describe a non-free structure).
     """
 
     def __init__(self, params: StructParams):
@@ -225,7 +239,7 @@ class StructureBuilder:
         self._sorts: list = []
         self._names: list = []
         self._adj: list = []
-        self._used_names: set = set()
+        self._ids: dict = {}  # name -> element id
 
     @classmethod
     def from_structure(cls, s: IncidenceStructure) -> "StructureBuilder":
@@ -233,7 +247,7 @@ class StructureBuilder:
         b._sorts = list(s._sorts)
         b._names = list(s._names)
         b._adj = [set(a) for a in s._adj]
-        b._used_names = set(s._names)
+        b._ids = dict(s._by_name)
         return b
 
     def __len__(self) -> int:
@@ -246,7 +260,10 @@ class StructureBuilder:
         return self._names[e]
 
     def by_name(self, name: str) -> int:
-        return self._names.index(name)
+        try:
+            return self._ids[name]
+        except KeyError:
+            raise ParameterError(f"no element named {name!r}") from None
 
     def neighbors(self, e: int) -> set:
         return self._adj[e]
@@ -262,14 +279,14 @@ class StructureBuilder:
         if name is None:
             prefix = "p" if sort is Sort.POINT else "l"
             name = f"{prefix}{e}"
-            while name in self._used_names:
+            while name in self._ids:
                 name = "_" + name
-        elif name in self._used_names:
+        elif name in self._ids:
             raise ParameterError(f"duplicate element name {name!r}")
         self._sorts.append(sort)
         self._names.append(name)
         self._adj.append(set())
-        self._used_names.add(name)
+        self._ids[name] = e
         return e
 
     def add_point(self, name: Optional[str] = None) -> int:
@@ -325,15 +342,6 @@ class StructureBuilder:
         )
 
 
-def add_incidence(
-    s: IncidenceStructure, p: int, l: int, guard: bool = True
-) -> IncidenceStructure:
-    """Functional incidence add: returns a new structure, s unchanged."""
-    b = StructureBuilder.from_structure(s)
-    b.add_incidence(p, l, guard=guard)
-    return b.build()
-
-
 def is_kmn_free(s: IncidenceStructure):
     """(True, None) if s has no complete K_{m,n}; else (False, witness).
 
@@ -342,18 +350,16 @@ def is_kmn_free(s: IncidenceStructure):
     the colex-first one.
     """
     m, n = s.params.m, s.params.n
+    adj = s._adj
     for l in s.lines:
-        pts = sorted(s.neighbors(l))
-        if len(pts) < m:
-            continue
-        for sigma in colex_combinations(pts, m):
-            common = None
-            for q in sigma:
-                common = set(s.neighbors(q)) if common is None else common & s.neighbors(q)
+        for sigma in colex_combinations(sorted(adj[l]), m):
+            common = adj[sigma[0]]
+            for q in sigma[1:]:
+                common = common & adj[q]
                 if len(common) < n:
                     break
             else:
-                if common is not None and len(common) >= n:
+                if len(common) >= n:
                     lines = tuple(sorted(common))[:n]
                     return False, FreenessWitness(
                         points=frozenset(sigma), lines=frozenset(lines)

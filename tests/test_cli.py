@@ -72,6 +72,17 @@ def test_parse_rejections():
         assert needle in str(exc.value), text
 
 
+def test_stage6_completion_document_round_trip_is_byte_exact(capsys, tmp_path):
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(quadrangle_structure()))
+    code, text, _ = run(capsys, "complete", str(f), "--stages", "6")
+    assert code == 0
+    s = parse_structure(text)
+    assert len(s) == 328
+    prov = json.loads(text)["provenance"]
+    assert emit_structure(s, provenance=prov) == text
+
+
 def test_dot_output(quadrangle):
     s = build(2, 2, points=("p", "q"), lines=('l"1',),
               incidences=[("p", 'l"1')])

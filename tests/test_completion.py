@@ -20,10 +20,12 @@ from kmnfree import (
     relative_free_completion,
     satisfies_complete,
 )
+from kmnfree import completion
 from kmnfree.completion import complete_step, initial_stage
 from kmnfree import i_closure, is_i_closed, isomorphic_over, induced
 
 from conftest import build, quadrangle_structure, random_free_structure
+from test_core import oracle_has_grid
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,28 @@ def test_library_matches_oracle_on_random_structures():
         for e in final.elements():
             assert final.neighbors(e) == frozenset(adj[e])
             assert final.is_point(e) == (sorts[e] == "p")
+        # steps add fresh incidences unguarded: freeness is checked here
+        for st in run.stages:
+            assert is_kmn_free(st.structure) == (True, None)
+            assert not oracle_has_grid(st.structure)
+
+
+def test_free_completion_scans_each_stage_once(monkeypatch, triangle_points):
+    scanned = []
+    deficient = completion._deficient
+
+    def counting(s):
+        scanned.append(s)
+        return deficient(s)
+
+    monkeypatch.setattr(completion, "_deficient", counting)
+    run = free_completion(quadrangle_structure(), stages=5)
+    assert scanned == [st.structure for st in run.stages[:-1]]
+    # the triangle grows once, then its fixpoint is found by one more scan
+    scanned.clear()
+    run = free_completion(triangle_points, stages=4)
+    assert run.sizes() == [3, 6, 6, 6, 6]
+    assert scanned == [st.structure for st in run.stages[:2]]
 
 
 # ---------------------------------------------------------------------------

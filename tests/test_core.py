@@ -1,14 +1,18 @@
 """Core structure type, freeness/completeness checks, isomorphism search.
 
-The oracles here are deliberately naive re-implementations: freeness and
-completeness by double loops over all m-subsets of points and n-subsets of
-lines, nothing shared with the library's scanning order or early exits.
+The oracles here are deliberately naive re-implementations: freeness by
+every m-subset of points with its common lines as a bitmask, completeness
+by double loops over all m-subsets of points and n-subsets of lines,
+nothing shared with the library's scanning order or early exits.
 """
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmnfree import (
     FreenessViolationError,
@@ -33,12 +37,18 @@ from conftest import build, quadrangle_structure, random_free_structure
 
 
 def oracle_has_grid(s):
-    """True iff some m points are all incident to n common lines."""
+    """True iff some m points are all incident to n common lines.
+
+    Bit l of a point's mask says it is on line l; the masks of an m-set
+    and-ed together hold its common lines.
+    """
     m, n = s.params.m, s.params.n
+    mask = {p: sum(1 << l for l in s.lines if s.incident(p, l))
+            for p in s.points}
     for sigma in itertools.combinations(s.points, m):
-        for tau in itertools.combinations(s.lines, n):
-            if all(s.incident(p, l) for p in sigma for l in tau):
-                return True
+        common = functools.reduce(operator.and_, (mask[p] for p in sigma))
+        if bin(common).count("1") >= n:
+            return True
     return False
 
 
@@ -144,6 +154,35 @@ def test_colex_matches_sorted_by_reversed_tuple():
         assert got == want
 
 
+def recursive_colex(items, k):
+    """Reference colex order, built recursively: every subset of
+    items[:j] before any containing items[j]."""
+    if k < 0:
+        return
+    if k == 0:
+        yield ()
+        return
+    for top_idx in range(k - 1, len(items)):
+        top = items[top_idx]
+        for rest in recursive_colex(items[:top_idx], k - 1):
+            yield rest + (top,)
+
+
+@given(st.lists(st.integers(-50, 50), unique=True, max_size=9).map(sorted),
+       st.integers(-1, 5))
+@settings(max_examples=300, deadline=None)
+def test_colex_matches_recursive_reference(items, k):
+    assert list(colex_combinations(items, k)) == list(recursive_colex(items, k))
+
+
+def test_colex_full_subset_of_large_set_has_no_recursion_limit():
+    assert list(colex_combinations(range(1500), 1500)) == [tuple(range(1500))]
+    subsets = list(colex_combinations(range(1500), 1499))
+    assert len(subsets) == 1500
+    assert subsets[0] == tuple(range(1499))
+    assert subsets[-1] == tuple(range(1, 1500))
+
+
 # ---------------------------------------------------------------------------
 # builder behavior
 
@@ -155,6 +194,14 @@ def test_builder_duplicate_name_rejected():
         bld.add_point("a")
     with pytest.raises(ParameterError):
         bld.add_line("a")
+
+
+def test_builder_by_name_unknown_raises_parameter_error():
+    bld = StructureBuilder(StructParams(2, 2))
+    bld.add_point("a")
+    assert bld.by_name("a") == 0
+    with pytest.raises(ParameterError, match="no element named 'b'"):
+        bld.by_name("b")
 
 
 def test_builder_sort_errors():
