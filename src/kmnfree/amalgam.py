@@ -22,6 +22,7 @@ Four constructions live here:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Optional, Sequence
@@ -527,6 +528,16 @@ def _set_partitions(items: Sequence) -> list:
     return out
 
 
+def _injective_fills(blocks: int, targets: int) -> int:
+    """Ways to give each of ``blocks`` blocks a fresh element or one of
+    ``targets`` existing ones, no existing one twice: the sum over k of
+    C(blocks, k) * P(targets, k)."""
+    return sum(
+        math.comb(blocks, k) * math.perm(targets, k)
+        for k in range(min(blocks, targets) + 1)
+    )
+
+
 def pattern_consistent(
     base: IncidenceStructure,
     pattern: ExistentialPattern,
@@ -550,6 +561,14 @@ def pattern_consistent(
     realization would induce an assignment in the searched space (variables
     landing on closure elements use them as targets, the rest stay fresh) and
     its candidate would have survived.
+
+    ``candidates`` counts the assignments of the searched space in search
+    order, up to and including the survivor, or up to the one that exhausts
+    ``candidate_budget`` (then it is ``candidate_budget + 1``).  The cheap
+    checks (incidences demanded between closure elements, distinct images
+    within an instance) run as soon as a block's target decides them, and a
+    refuted partial assignment adds every assignment below it to the count
+    at once.
     """
     dg = pattern.diagram
     if dg.params != base.params:
@@ -630,30 +649,51 @@ def pattern_consistent(
     candidates = 0
     survivor = None
 
-    def evaluate(blocks, chosen) -> bool:
-        """True if the candidate for this assignment survives every check."""
-        block_of = {}
-        for i, blk in enumerate(blocks):
-            for tok in blk:
-                block_of[tok] = i
+    def count(leaves: int) -> None:
+        # the per-leaf count, in bulk: a budget hit stops at budget + 1,
+        # the leaf at which a one-by-one count would have stopped
+        nonlocal candidates
+        candidates += leaves
+        if candidates > candidate_budget:
+            candidates = candidate_budget + 1
+            raise BudgetError("candidate budget exhausted")
 
-        def image_key(t):
-            # token -> its target id or a fresh-block marker; base id -> itself
-            if isinstance(t, tuple):
-                tgt = chosen[block_of[t]]
-                return tgt if tgt is not None else ("fresh", block_of[t])
-            return t
-
-        for ptok, ltok in required:
-            pe, le = image_key(ptok), image_key(ltok)
-            if isinstance(pe, int) and isinstance(le, int):
-                if not ambient.incident(pe, le):
-                    return False
+    def plan(blocks):
+        """The cheap checks of one partition, each at the block whose target
+        decides it.  None if they refute every assignment; else, per block,
+        (avoid, to_base, to_block): the ids its target must avoid (parameters
+        of an instance with an occurrence in the block), the base ids it must
+        be incident with, and the earlier blocks whose targets it must be
+        incident with.  Two occurrences in distinct blocks always get
+        distinct images (targets are injective, fresh elements new), and
+        incidences with a fresh element are never demanded of the closure."""
+        block_of = {tok: i for i, blk in enumerate(blocks) for tok in blk}
+        avoid = [set() for _ in blocks]
+        to_base = [set() for _ in blocks]
+        to_block = [[] for _ in blocks]
         for elems in inst_elems:
-            keys = [image_key(t) for t in elems]
-            if len(set(keys)) != len(keys):
-                return False
+            ids = [t for t in elems if t not in block_of]
+            idx = [block_of[t] for t in elems if t in block_of]
+            if len(set(ids)) != len(ids) or len(set(idx)) != len(idx):
+                return None
+            for i in idx:
+                avoid[i].update(ids)
+        for ptok, ltok in required:
+            pi, li = block_of.get(ptok), block_of.get(ltok)
+            if pi is None and li is None:
+                if not ambient.incident(ptok, ltok):
+                    return None
+            elif pi is None:
+                to_base[li].add(ptok)
+            elif li is None:
+                to_base[pi].add(ltok)
+            else:
+                to_block[max(pi, li)].append(min(pi, li))
+        return list(zip(avoid, to_base, to_block))
 
+    def evaluate(blocks, chosen) -> bool:
+        """True if the candidate for an assignment that passed the cheap
+        checks is K-free and, in exact mode, induces the diagram."""
         b = StructureBuilder.from_structure(ground)
         placed = {}
         for i, (blk, tgt) in enumerate(zip(blocks, chosen)):
@@ -693,25 +733,53 @@ def pattern_consistent(
         return [None] + pool_e
 
     for merges, blocks in part_product:
-        # injective-per-sort target choices, fresh (None) first
+        # point blocks come first; per sort, an assignment is an injective
+        # choice of targets, fresh (None) first
+        n_points = sum(token_sort[blk[0]] is Sort.POINT for blk in blocks)
+        spans = (
+            (0, n_points, len(existing_pts)),
+            (n_points, len(blocks), len(existing_lns)),
+        )
+
+        def leaves(i, chosen):
+            """Assignments that extend ``chosen``, the targets of blocks < i."""
+            total = 1
+            for lo, hi, n_targets in spans:
+                free = n_targets - sum(t is not None for t in chosen[lo:hi])
+                total *= _injective_fills(max(hi - max(lo, i), 0), free)
+            return total
+
+        checks = plan(blocks)
+
         def rec(i, chosen, used):
-            nonlocal candidates, survivor
-            if survivor is not None:
-                return
+            nonlocal survivor
             if i == len(blocks):
-                candidates += 1
-                if candidates > candidate_budget:
-                    raise BudgetError("candidate budget exhausted")
+                count(1)
                 if evaluate(blocks, chosen):
                     survivor = QuotientAssignment(tuple(blocks), tuple(chosen))
                 return
+            avoid, to_base, to_block = checks[i]
             for tgt in target_options(blocks[i]):
-                if tgt is not None and tgt in used:
-                    continue
+                if tgt is not None:
+                    if tgt in used:
+                        continue
+                    nb = ambient.neighbors(tgt)
+                    if (
+                        tgt in avoid
+                        or not to_base <= nb
+                        or any(chosen[j] is not None and chosen[j] not in nb for j in to_block)
+                    ):
+                        count(leaves(i + 1, chosen + [tgt]))
+                        continue
                 rec(i + 1, chosen + [tgt], used | ({tgt} if tgt is not None else set()))
+                if survivor is not None:
+                    return  # later siblings come after the survivor: not counted
 
         try:
-            rec(0, [], set())
+            if checks is None:
+                count(leaves(0, []))
+            else:
+                rec(0, [], set())
         except BudgetError:
             return PatternVerdict(
                 PatternStatus.UNKNOWN,

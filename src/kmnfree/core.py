@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -399,16 +398,14 @@ def satisfies_complete(s: IncidenceStructure) -> CompletenessReport:
     Point subsets are scanned before line subsets, colex within each.
     """
     m, n = s.params.m, s.params.n
-    pts = sorted(s.points)
-    for sigma in colex_combinations(pts, m):
-        cnt = len(common_neighbors(s, sigma)) if sigma else 0
-        if cnt != n - 1:
-            return CompletenessReport(False, "points", frozenset(sigma), cnt)
-    lns = sorted(s.lines)
-    for tau in colex_combinations(lns, n):
-        cnt = len(common_neighbors(s, tau)) if tau else 0
-        if cnt != m - 1:
-            return CompletenessReport(False, "lines", frozenset(tau), cnt)
+    adj = s._adj
+    for elems, k, want, kind in ((s.points, m, n - 1, "points"), (s.lines, n, m - 1, "lines")):
+        for sub in colex_combinations(sorted(elems), k):
+            common = adj[sub[0]]
+            for e in sub[1:]:
+                common = common & adj[e]
+            if len(common) != want:
+                return CompletenessReport(False, kind, frozenset(sub), len(common))
     return CompletenessReport(True)
 
 
@@ -525,56 +522,4 @@ def induced(s: IncidenceStructure, keep: Iterable[int]):
             for l in sorted(s.neighbors(e)):
                 if l in remap:
                     b.add_incidence(remap[e], remap[l], guard=False)
-    return b.build(), remap
-
-
-def interpret_reduct(
-    s: IncidenceStructure,
-    c_points: Sequence[int],
-    d_lines: Sequence[int],
-    m0: int,
-    n0: int,
-):
-    """The (m0, n0)-structure interpreted from s over biclique parameters.
-
-    c_points (m - m0 points) and d_lines (n - n0 lines) must form a complete
-    biclique in s.  The reduct's points are the points outside c_points
-    incident with every parameter line; its lines are the lines outside
-    d_lines incident with every parameter point; incidence is induced.
-    Returns (structure, old->new map).
-    """
-    m, n = s.params.m, s.params.n
-    c_points = sorted(set(c_points))
-    d_lines = sorted(set(d_lines))
-    if m0 < 1 or n0 < 1 or m0 > m or n0 > n:
-        raise ParameterError(f"target parameters ({m0},{n0}) out of range for ({m},{n})")
-    if len(c_points) != m - m0:
-        raise ParameterError(f"need {m - m0} parameter points, got {len(c_points)}")
-    if len(d_lines) != n - n0:
-        raise ParameterError(f"need {n - n0} parameter lines, got {len(d_lines)}")
-    for p in c_points:
-        if not s.is_point(p):
-            raise SortError(f"parameter {s.name(p)!r} is not a point")
-    for l in d_lines:
-        if not s.is_line(l):
-            raise SortError(f"parameter {s.name(l)!r} is not a line")
-    for p in c_points:
-        for l in d_lines:
-            if not s.incident(p, l):
-                raise PreconditionError(
-                    f"parameters are not a complete biclique: {s.name(p)!r} not on {s.name(l)!r}"
-                )
-    cset, dset = set(c_points), set(d_lines)
-    pts0 = [p for p in s.points if p not in cset and dset <= s.neighbors(p)]
-    lns0 = [l for l in s.lines if l not in dset and cset <= s.neighbors(l)]
-    b = StructureBuilder(StructParams(m0, n0))
-    remap = {}
-    for p in pts0:
-        remap[p] = b.add_point(s.name(p))
-    for l in lns0:
-        remap[l] = b.add_line(s.name(l))
-    for p in pts0:
-        for l in sorted(s.neighbors(p)):
-            if l in remap:
-                b.add_incidence(remap[p], remap[l], guard=False)
     return b.build(), remap

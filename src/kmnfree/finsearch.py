@@ -96,7 +96,9 @@ class _PlaneSearch:
     uncovered pair, with its remaining points above that pair (forced
     for the least pair, so no solutions are lost); otherwise lines are
     built in plain lexicographic order, which is far slower but useful
-    as an oracle at order 1.
+    as an oracle at order 1.  Canonical candidates are built point by
+    point instead of filtered from all combinations, in the same order,
+    so every node count is that of the filtered search.
     """
 
     def __init__(self, order: int, node_budget: int, canonical: bool = True):
@@ -145,6 +147,27 @@ class _PlaneSearch:
                 return False
         return True
 
+    def _free_subsets(self, pool: List[int], size: int):
+        """The ``size``-subsets of ``pool`` with no used pair inside, in
+        lexicographic order: ``combinations(pool, size)`` filtered by the
+        pair test, with each prefix tested once for all its extensions."""
+        chosen: List[int] = []
+
+        def extend(start: int):
+            if len(chosen) == size:
+                yield tuple(chosen)
+                return
+            for i in range(start, len(pool) - size + len(chosen) + 1):
+                p = pool[i]
+                row = self.pair_used[p]
+                if any(row[x] for x in chosen):
+                    continue
+                chosen.append(p)
+                yield from extend(i + 1)
+                chosen.pop()
+
+        return extend(0)
+
     def _candidates(self):
         pair = self._least_uncovered()
         if pair is None:
@@ -160,11 +183,7 @@ class _PlaneSearch:
                 and not self.pair_used[a][p]
                 and not self.pair_used[b][p]
             ]
-            return (
-                (a, b) + rest
-                for rest in combinations(pool, self.k - 2)
-                if self._admissible((a, b) + rest)
-            )
+            return ((a, b) + rest for rest in self._free_subsets(pool, self.k - 2))
         # plain order: any lex-greater admissible line covering the pair
         floor = self.lines[-1] if self.lines else ()
         return (
@@ -202,7 +221,9 @@ class _PlaneSearch:
         for line in lines:
             l = bld.add_line()
             for p in line:
-                bld.add_incidence(p, l)
+                # unguarded: the postcondition below puts every point pair
+                # on exactly one line, which rules out a K_{2,2}
+                bld.add_incidence(p, l, guard=False)
         s = bld.build()
         report = satisfies_complete(s)
         if not report.passed:
@@ -277,23 +298,21 @@ def _induced_embedding(
     big: IncidenceStructure,
     node_budget: int,
 ) -> Tuple[SearchStatus, Optional[Dict[int, int]], int]:
-    """Backtracking search for an induced embedding small -> big."""
+    """Backtracking search for an induced embedding small -> big.
+
+    A candidate image is tested by one set comparison: its neighbours
+    among the images of mapped elements of the other sort must be exactly
+    the images of its element's mapped neighbours.  Because the mapping
+    is injective, that is the pairwise incidence test, so the candidates
+    tried, and the node count, are those of a pairwise scan.
+    """
     order = _assignment_order(small)
     pts = sorted(big.points)
     lns = sorted(big.lines)
     mapping: Dict[int, int] = {}
-    used = set()
+    point_images: set = set()
+    line_images: set = set()
     nodes = 0
-
-    def consistent(e: int, img: int) -> bool:
-        for other, img_other in mapping.items():
-            if small.sort(other) is small.sort(e):
-                continue
-            p, l = (e, other) if small.is_point(e) else (other, e)
-            ip, il = (img, img_other) if small.is_point(e) else (img_other, img)
-            if small.incident(p, l) != big.incident(ip, il):
-                return False
-        return True
 
     def dfs(idx: int) -> Optional[bool]:
         # None signals budget exhaustion up the stack
@@ -301,13 +320,18 @@ def _induced_embedding(
         if idx == len(order):
             return True
         e = order[idx]
-        for img in pts if small.is_point(e) else lns:
+        if small.is_point(e):
+            candidates, used, opposite = pts, point_images, line_images
+        else:
+            candidates, used, opposite = lns, line_images, point_images
+        want = {mapping[o] for o in small.neighbors(e) if o in mapping}
+        for img in candidates:
             if img in used:
                 continue
             if nodes >= node_budget:
                 return None
             nodes += 1
-            if not consistent(e, img):
+            if big.neighbors(img) & opposite != want:
                 continue
             mapping[e] = img
             used.add(img)

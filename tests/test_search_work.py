@@ -1,0 +1,454 @@
+"""Work counts of the backtracking searches, pinned and checked against
+reference copies of the plain (filter-every-candidate) searches.
+
+The searches prune with forward checks and count refuted subtrees in bulk;
+every verdict, witness, node count and candidate count must equal what the
+plain searches below report.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmnfree import (
+    BudgetError,
+    ExistentialPattern,
+    PatternStatus,
+    SearchStatus,
+    Sort,
+    StructParams,
+    StructureBuilder,
+    embed_in_finite_plane,
+    enumerate_projective_planes,
+    fano_plane,
+    find_projective_plane,
+    free_completion,
+    indep_sequence,
+    induced,
+    is_kmn_free,
+    pattern_consistent,
+    satisfies_complete,
+    tp2_pattern,
+)
+from kmnfree.amalgam import PatternVerdict, QuotientAssignment, _set_partitions
+from kmnfree.completion import LazyCompletion
+from kmnfree.core import CompletenessReport, common_neighbors, colex_combinations
+from kmnfree.finsearch import _PlaneSearch, _induced_embedding, clear_plane_cache
+
+from conftest import build, quadrangle_structure, random_free_structure
+
+
+def tp2_case(m, n, instances):
+    """tp2_pattern(m, n) over an independent sequence, as the CLI builds it."""
+    b = StructureBuilder(StructParams(m, n))
+    b0 = b.add_point("b0")
+    cs = frozenset(b.add_line(f"c{j}") for j in range(1, n))
+    seq = indep_sequence(b.build(), (b0,), cs, instances)
+    rows = [t + tuple(sorted(seq.c_ids)) for t in seq.tuples]
+    return seq.ambient, tp2_pattern(m, n), rows
+
+
+def stage2_quadrangle():
+    return free_completion(quadrangle_structure(), 2).final.structure
+
+
+# ---------------------------------------------------------------------------
+# pinned counts
+
+
+@pytest.mark.parametrize("order,nodes", [(1, 3), (2, 7), (3, 13), (4, 21), (5, 84)])
+def test_plane_search_nodes_are_pinned(order, nodes):
+    clear_plane_cache()
+    r = find_projective_plane(order)
+    assert (r.status, r.nodes) == (SearchStatus.FOUND, nodes)
+
+
+def test_plane_enumeration_counts_are_pinned():
+    planes, exhausted, nodes = enumerate_projective_planes(2)
+    assert (len(planes), exhausted, nodes) == (30, True, 155)
+    planes, exhausted, nodes = enumerate_projective_planes(3, limit=50)
+    assert (len(planes), exhausted, nodes) == (50, False, 361)
+
+
+@pytest.mark.parametrize("order,nodes", [(3, 30), (4, 40), (5, 50)])
+def test_stage2_quadrangle_embedding_nodes_are_pinned(order, nodes):
+    clear_plane_cache()
+    r = embed_in_finite_plane(stage2_quadrangle(), order)
+    assert (r.status, r.nodes) == (SearchStatus.FOUND, nodes)
+
+
+def test_fano_into_order_3_exhausts_at_pinned_nodes():
+    clear_plane_cache()
+    r = embed_in_finite_plane(fano_plane(), 3)
+    assert (r.status, r.nodes) == (SearchStatus.NONE, 318_890)
+
+
+def test_tp2_candidate_counts_are_pinned():
+    v = pattern_consistent(*tp2_case(2, 2, 3), stage_budget=1)
+    assert (v.status, v.candidates) == (PatternStatus.INCONSISTENT, 297_228)
+    v = pattern_consistent(*tp2_case(3, 2, 2), stage_budget=1)
+    assert (v.status, v.candidates) == (PatternStatus.CONSISTENT, 5_202)
+    assert all(t is None for t in v.quotient.targets)
+
+
+# ---------------------------------------------------------------------------
+# pattern_consistent against the per-leaf search
+
+
+def reference_pattern_consistent(base, pattern, instances, stage_budget=1,
+                                 candidate_budget=1_000_000, element_cap=100_000):
+    """The search that evaluates every leaf: a copy of the code before the
+    forward checks, input validation left out."""
+    dg = pattern.diagram
+    work = LazyCompletion(base, element_cap=element_cap)
+    run = work.closure(base.elements(), stage_budget=stage_budget)
+    a_t = run.closure_set
+    ambient = work.snapshot()
+    stage = len(run.stages) - 1
+    if not instances:
+        return PatternVerdict(PatternStatus.CONSISTENT, QuotientAssignment((), ()),
+                              stage, run.converged, 0, "no instances")
+    pool = [("s", v) for v in pattern.shared_vars]
+    for j in range(len(instances)):
+        pool += [("w", j, v) for v in pattern.witness_vars]
+    token_sort = {t: dg.sort(t[1] if t[0] == "s" else t[2]) for t in pool}
+    pts = [t for t in pool if token_sort[t] is Sort.POINT]
+    lns = [t for t in pool if token_sort[t] is Sort.LINE]
+    existing_pts = sorted(e for e in a_t if ambient.is_point(e))
+    existing_lns = sorted(e for e in a_t if ambient.is_line(e))
+
+    def resolve_token(j, v):
+        if v in pattern.shared_vars:
+            return ("s", v)
+        if v in pattern.witness_vars:
+            return ("w", j, v)
+        return instances[j][pattern.param_vars.index(v)]
+
+    inst_elems, required, seen_req = [], [], set()
+    for j in range(len(instances)):
+        inst_elems.append([resolve_token(j, v) for v in sorted(dg.elements())])
+        for p, l in dg.incidences():
+            pair = (resolve_token(j, p), resolve_token(j, l))
+            if pair not in seen_req:
+                seen_req.add(pair)
+                required.append(pair)
+
+    part_product = []
+    for pp in _set_partitions(pts):
+        for lp in _set_partitions(lns):
+            blocks = pp + lp
+            part_product.append((sum(len(b) - 1 for b in blocks), blocks))
+    part_product.sort(key=lambda t: (t[0], t[1]))
+    ground, ground_map = induced(ambient, a_t)
+    candidates = 0
+    survivor = None
+
+    def evaluate(blocks, chosen):
+        block_of = {tok: i for i, blk in enumerate(blocks) for tok in blk}
+
+        def image_key(t):
+            if isinstance(t, tuple):
+                tgt = chosen[block_of[t]]
+                return tgt if tgt is not None else ("fresh", block_of[t])
+            return t
+
+        for ptok, ltok in required:
+            pe, le = image_key(ptok), image_key(ltok)
+            if isinstance(pe, int) and isinstance(le, int) and not ambient.incident(pe, le):
+                return False
+        for elems in inst_elems:
+            keys = [image_key(t) for t in elems]
+            if len(set(keys)) != len(keys):
+                return False
+        b = StructureBuilder.from_structure(ground)
+        placed = {}
+        for blk, tgt in zip(blocks, chosen):
+            if tgt is not None:
+                eid = ground_map[tgt]
+            else:
+                eid = b.add_point() if token_sort[blk[0]] is Sort.POINT else b.add_line()
+            for tok in blk:
+                placed[tok] = eid
+
+        def image(t):
+            return placed[t] if isinstance(t, tuple) else ground_map[t]
+
+        for ptok, ltok in required:
+            b.add_incidence(image(ptok), image(ltok), guard=False)
+        cand = b.build()
+        if not is_kmn_free(cand)[0]:
+            return False
+        if pattern.exact:
+            dg_elems = sorted(dg.elements())
+            for elems in inst_elems:
+                mapped = dict(zip(dg_elems, (image(t) for t in elems)))
+                for p in dg.points:
+                    for l in dg.lines:
+                        if dg.incident(p, l) != cand.incident(mapped[p], mapped[l]):
+                            return False
+        return True
+
+    for _, blocks in part_product:
+        def rec(i, chosen, used):
+            nonlocal candidates, survivor
+            if survivor is not None:
+                return
+            if i == len(blocks):
+                candidates += 1
+                if candidates > candidate_budget:
+                    raise BudgetError("candidate budget exhausted")
+                if evaluate(blocks, chosen):
+                    survivor = QuotientAssignment(tuple(blocks), tuple(chosen))
+                return
+            targets = existing_pts if token_sort[blocks[i][0]] is Sort.POINT else existing_lns
+            for tgt in [None] + targets:
+                if tgt is not None and tgt in used:
+                    continue
+                rec(i + 1, chosen + [tgt], used | ({tgt} if tgt is not None else set()))
+
+        try:
+            rec(0, [], set())
+        except BudgetError:
+            return PatternVerdict(PatternStatus.UNKNOWN, None, stage, run.converged,
+                                  candidates, f"candidate budget {candidate_budget} exhausted")
+        if survivor is not None:
+            break
+    if survivor is not None:
+        if run.converged:
+            return PatternVerdict(PatternStatus.CONSISTENT, survivor, stage, True,
+                                  candidates, "surviving quotient over the converged closure")
+        return PatternVerdict(
+            PatternStatus.UNKNOWN, survivor, stage, False, candidates,
+            "a quotient survives but the base closure did not converge "
+            f"within {stage_budget} stages")
+    return PatternVerdict(
+        PatternStatus.INCONSISTENT, None, stage, run.converged, candidates,
+        f"all {candidates} assignments refuted at closure stage {stage}")
+
+
+def assert_pattern_budgets_agree(base, pattern, instances, stage_budget):
+    full = reference_pattern_consistent(base, pattern, instances, stage_budget)
+    total = full.candidates
+    for budget in sorted({0, 1, max(total - 1, 0), total, 1_000_000}):
+        want = reference_pattern_consistent(base, pattern, instances, stage_budget, budget)
+        got = pattern_consistent(base, pattern, instances, stage_budget=stage_budget,
+                                 candidate_budget=budget)
+        assert got == want, budget
+    return full
+
+
+def random_pattern_case(rng):
+    """A small base, a pattern of at most five variables with at most four
+    pool occurrences, and one to four instances (repeated parameters
+    included, so the distinctness check is exercised)."""
+    m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+    base = random_free_structure(rng, m, n, max_elements=5)
+    while True:
+        dg = random_free_structure(rng, m, n, max_elements=5)
+        kinds = {e: rng.choice("spw") for e in dg.elements()}
+        shared = tuple(e for e in dg.elements() if kinds[e] == "s")
+        params = tuple(e for e in dg.elements() if kinds[e] == "p")
+        witness = tuple(e for e in dg.elements() if kinds[e] == "w")
+        base_of = {s: [e for e in base.elements() if base.sort(e) is s] for s in Sort}
+        if any(not base_of[dg.sort(v)] for v in params):
+            continue
+        k = rng.randint(1, 4)
+        if len(shared) + k * len(witness) <= 4:
+            break
+    pattern = ExistentialPattern(dg, shared, params, witness, exact=rng.random() < 0.7)
+    instances = [tuple(rng.choice(base_of[dg.sort(v)]) for v in params) for _ in range(k)]
+    return base, pattern, instances, rng.randint(0, 1)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_pattern_matches_per_leaf_reference_at_every_budget(seed):
+    assert_pattern_budgets_agree(*random_pattern_case(random.Random(seed)))
+
+
+def test_pattern_parameters_lacking_a_demanded_incidence_are_refuted():
+    base = build(2, 2, points=("p",), lines=("l",))
+    dg = build(2, 2, points=("P",), lines=("L",), incidences=(("P", "L"),))
+    pattern = ExistentialPattern(dg, (), (dg.by_name("P"), dg.by_name("L")), ())
+    full = assert_pattern_budgets_agree(base, pattern, [(0, 1)], 0)
+    assert (full.status, full.candidates) == (PatternStatus.INCONSISTENT, 1)
+
+
+def test_pattern_target_lacking_a_demanded_incidence_is_refuted():
+    # A shared line through three parameter points: fresh, it completes a
+    # grid with l; on l, it demands the incidence (p2, l) the base lacks,
+    # although adding it would complete no grid.
+    base = build(2, 2, points=("p0", "p1", "p2"), lines=("l",),
+                 incidences=(("p0", "l"), ("p1", "l")))
+    dg = build(2, 2, points=("P",), lines=("X",), incidences=(("P", "X"),))
+    pattern = ExistentialPattern(dg, (dg.by_name("X"),), (dg.by_name("P"),), ())
+    rows = [(base.by_name(nm),) for nm in ("p0", "p1", "p2")]
+    full = assert_pattern_budgets_agree(base, pattern, rows, 0)
+    assert (full.status, full.candidates) == (PatternStatus.INCONSISTENT, 2)
+
+
+def test_pattern_survivor_followed_by_refuted_sibling():
+    # In the (3,2) x 2 search the survivor has refuted siblings after it;
+    # counting them as well reads 5,221 instead of 5,202.
+    base, pattern, rows = tp2_case(3, 2, 2)
+    full = assert_pattern_budgets_agree(base, pattern, rows, 1)
+    assert (full.status, full.candidates) == (PatternStatus.CONSISTENT, 5_202)
+
+
+# ---------------------------------------------------------------------------
+# _induced_embedding against the pairwise scan
+
+
+def reference_induced_embedding(small, big, node_budget):
+    """The pairwise-consistency search: a copy of the code before the
+    one-comparison test."""
+    from kmnfree.finsearch import _assignment_order
+
+    order = _assignment_order(small)
+    pts, lns = sorted(big.points), sorted(big.lines)
+    mapping, used, nodes = {}, set(), 0
+
+    def consistent(e, img):
+        for other, img_other in mapping.items():
+            if small.sort(other) is small.sort(e):
+                continue
+            p, l = (e, other) if small.is_point(e) else (other, e)
+            ip, il = (img, img_other) if small.is_point(e) else (img_other, img)
+            if small.incident(p, l) != big.incident(ip, il):
+                return False
+        return True
+
+    def dfs(idx):
+        nonlocal nodes
+        if idx == len(order):
+            return True
+        e = order[idx]
+        for img in pts if small.is_point(e) else lns:
+            if img in used:
+                continue
+            if nodes >= node_budget:
+                return None
+            nodes += 1
+            if not consistent(e, img):
+                continue
+            mapping[e] = img
+            used.add(img)
+            hit = dfs(idx + 1)
+            if hit:
+                return True
+            del mapping[e]
+            used.remove(img)
+            if hit is None:
+                return None
+        return False
+
+    outcome = dfs(0)
+    if outcome is None:
+        return SearchStatus.UNKNOWN, None, nodes
+    if outcome:
+        return SearchStatus.FOUND, dict(mapping), nodes
+    return SearchStatus.NONE, None, nodes
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 3, 10, 50, 400, 10**6]))
+@settings(max_examples=150, deadline=None)
+def test_induced_embedding_matches_pairwise_reference(seed, budget):
+    rng = random.Random(seed)
+    small = random_free_structure(rng, 2, 2, max_elements=6)
+    if rng.random() < 0.5:
+        big = random_free_structure(rng, 2, 2, max_elements=12)
+    else:
+        big = find_projective_plane(rng.choice([1, 2, 3])).plane
+    assert _induced_embedding(small, big, budget) == reference_induced_embedding(
+        small, big, budget)
+
+
+# ---------------------------------------------------------------------------
+# plane search against filtered combinations
+
+
+class FilteredPlaneSearch(_PlaneSearch):
+    """Canonical candidates as all (k-2)-subsets of the pool, filtered by
+    _admissible: the code before the lexicographic DFS."""
+
+    def _candidates(self):
+        pair = self._least_uncovered()
+        if pair is None:
+            return None
+        a, b = pair
+        if self.deg[a] >= self.k or self.deg[b] >= self.k:
+            return iter(())
+        pool = [p for p in range(b + 1, self.v)
+                if self.deg[p] < self.k and not self.pair_used[a][p]
+                and not self.pair_used[b][p]]
+        return ((a, b) + rest for rest in itertools.combinations(pool, self.k - 2)
+                if self._admissible((a, b) + rest))
+
+
+def run_search(cls, order, first_only, limit=None, budget=10**7):
+    search = cls(order, budget)
+    search.run(first_only=first_only, limit=limit)
+    return search.solutions, search.exhausted, search.nodes
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_plane_search_matches_filtered_reference(order):
+    got = run_search(_PlaneSearch, order, first_only=True)
+    assert got == run_search(FilteredPlaneSearch, order, first_only=True)
+    clear_plane_cache()
+    plane = find_projective_plane(order).plane
+    assert sorted(plane.incidences()) == sorted(
+        (p, order * order + order + 1 + i)
+        for i, line in enumerate(got[0][0]) for p in line)
+
+
+@pytest.mark.parametrize("order,limit,budget", [(2, None, 10**7), (3, 50, 10**7),
+                                                (3, None, 200), (4, 5, 10**7)])
+def test_plane_enumeration_matches_filtered_reference(order, limit, budget):
+    assert run_search(_PlaneSearch, order, False, limit, budget) == run_search(
+        FilteredPlaneSearch, order, False, limit, budget)
+
+
+# ---------------------------------------------------------------------------
+# satisfies_complete against the validating common_neighbors scan
+
+
+def reference_satisfies_complete(s):
+    m, n = s.params.m, s.params.n
+    for sigma in colex_combinations(sorted(s.points), m):
+        cnt = len(common_neighbors(s, sigma))
+        if cnt != n - 1:
+            return CompletenessReport(False, "points", frozenset(sigma), cnt)
+    for tau in colex_combinations(sorted(s.lines), n):
+        cnt = len(common_neighbors(s, tau))
+        if cnt != m - 1:
+            return CompletenessReport(False, "lines", frozenset(tau), cnt)
+    return CompletenessReport(True)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_satisfies_complete_matches_reference(seed):
+    # unguarded incidences: structures with grids have m-sets on n or more
+    # common lines, which a free structure never shows
+    rng = random.Random(seed)
+    m, n = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])
+    b = StructureBuilder(StructParams(m, n))
+    pts = [b.add_point() for _ in range(rng.randint(0, 6))]
+    lns = [b.add_line() for _ in range(rng.randint(0, 6))]
+    for p in pts:
+        for l in lns:
+            if rng.random() < 0.5:
+                b.add_incidence(p, l, guard=False)
+    s = b.build()
+    assert satisfies_complete(s) == reference_satisfies_complete(s)
+
+
+def test_satisfies_complete_on_planes_matches_reference():
+    for order in (1, 2, 3):
+        plane = find_projective_plane(order).plane
+        assert satisfies_complete(plane) == reference_satisfies_complete(plane)
+        assert satisfies_complete(plane).passed
