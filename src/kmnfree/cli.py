@@ -179,6 +179,68 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(json.dumps(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _json_array(items: List[str], pad: str) -> str:
+    """A JSON array of already encoded ``items``, laid out at indent ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``_dumps`` lays it out at indent ``pad``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_json_key(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        return _json_array([_json_text(v, pad + "  ") for v in value], pad)
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)
+
+
+def _document_text(s: IncidenceStructure, provenance: Optional[dict]) -> str:
+    """``_dumps(structure_document(s, provenance))``, written directly:
+    each name is escaped once and the fixed layout is joined from strings.
+    The free-form provenance goes through ``_json_text``."""
+    q = [_quote(nm) for nm in s._names]
+    adj = s._adj
+    incidences = [
+        f"[\n      {q[p]},\n      {q[l]}\n    ]"
+        for p in s.points
+        for l in sorted(adj[p])
+    ]
+    out = [
+        '{\n  "incidences": ', _json_array(incidences, "  "),
+        ',\n  "lines": ', _json_array([q[l] for l in s.lines], "  "),
+        f',\n  "m": {json.dumps(s.params.m)},\n  "n": {json.dumps(s.params.n)}',
+        ',\n  "points": ', _json_array([q[p] for p in s.points], "  "),
+    ]
+    if provenance is not None:
+        out += [',\n  "provenance": ', _json_text(provenance, "  ")]
+    out.append("\n}\n")
+    return "".join(out)
+
+
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -189,10 +251,12 @@ def emit_structure(
     """Render ``s`` as canonical JSON or as Graphviz DOT.
 
     DOT draws points as ellipses and lines as boxes, one undirected edge
-    per incidence; provenance is JSON-only.
+    per incidence; provenance is JSON-only.  JSON is written directly
+    rather than by ``json.dumps``, whose indented output runs the slow
+    pure-Python encoder; the text is the same byte for byte.
     """
     if fmt == "json":
-        return _dumps(structure_document(s, provenance))
+        return _document_text(s, provenance)
     if fmt != "dot":
         raise ParameterError(f"unknown format: {fmt}")
     out: List[str] = ["graph incidence {"]

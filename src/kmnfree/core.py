@@ -10,7 +10,11 @@ checkers) is built on the small vocabulary here:
   are guarded by an incremental freeness check by default.
 * ``is_kmn_free`` / ``satisfies_complete``: the forbidden-configuration scan
   and the "every m points on exactly n-1 lines, every n lines on exactly m-1
-  points" test, both with deterministic witnesses.
+  points" test, both with deterministic witnesses.  The freeness scan grows
+  m-sets on each line from the largest point down and extends only by the
+  top point's *partners*, the points sharing at least n lines with it (the
+  shared-neighbour count used to find 4-cycles; Alon, Yuster and Zwick,
+  Algorithmica 17, 1997).
 * ``isomorphic_over``: backtracking isomorphism extending a partial base map,
   deterministic (returns the lexicographically least isomorphism).
 
@@ -21,7 +25,9 @@ compared by largest element first), so reported witnesses are stable.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -119,10 +125,14 @@ class IncidenceStructure:
     """An immutable finite two-sorted incidence structure.
 
     Element ids are 0..N-1 in creation order.  Adjacency is stored per
-    element as a frozenset of opposite-sort ids.
+    element as a frozenset of opposite-sort ids.  The point and line tuples
+    are computed on first use and kept.
     """
 
-    __slots__ = ("params", "_sorts", "_names", "_adj", "_by_name", "_hash")
+    __slots__ = (
+        "params", "_sorts", "_names", "_adj", "_by_name", "_hash",
+        "_points", "_lines",
+    )
 
     def __init__(
         self,
@@ -137,6 +147,8 @@ class IncidenceStructure:
         self._adj = adj
         self._by_name = {name: e for e, name in enumerate(names)}
         self._hash = None
+        self._points = None
+        self._lines = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -148,11 +160,19 @@ class IncidenceStructure:
 
     @property
     def points(self) -> tuple:
-        return tuple(e for e in self.elements() if self._sorts[e] is Sort.POINT)
+        if self._points is None:
+            self._points = tuple(
+                e for e, srt in enumerate(self._sorts) if srt is Sort.POINT
+            )
+        return self._points
 
     @property
     def lines(self) -> tuple:
-        return tuple(e for e in self.elements() if self._sorts[e] is Sort.LINE)
+        if self._lines is None:
+            self._lines = tuple(
+                e for e, srt in enumerate(self._sorts) if srt is Sort.LINE
+            )
+        return self._lines
 
     def sort(self, e: int) -> Sort:
         return self._sorts[e]
@@ -341,28 +361,72 @@ class StructureBuilder:
         )
 
 
+def _grid(adj, n: int, common: frozenset, cands: list, k: int):
+    """The colex-first k points of ``cands`` (ascending) that keep at least
+    n of the lines in ``common``, as (points, their common lines), or None.
+
+    Kept at module level: nested in ``is_kmn_free`` as a recursive closure
+    it would form a reference cycle on every call, garbage that only the
+    cyclic collector frees, and that slowed many small scans.
+    """
+    if k == 0:
+        return (), common
+    for i in range(k - 1, len(cands)):
+        y = cands[i]
+        both = common & adj[y]
+        if len(both) >= n:
+            found = _grid(adj, n, both, cands[:i], k - 1)
+            if found is not None:
+                return found[0] + (y,), found[1]
+    return None
+
+
 def is_kmn_free(s: IncidenceStructure):
     """(True, None) if s has no complete K_{m,n}; else (False, witness).
 
     Any K_{m,n} has all m points on each of its n lines, so scanning
     m-subsets of each line's point set covers every occurrence.  Witness is
-    the colex-first one.
+    the colex-first m-set on the first line (in id order) that carries a
+    grid, with the n lowest of its common lines.
+
+    Each line is searched depth first, largest point first and every level
+    in ascending order, which visits its m-sets in colex order.  A prefix
+    whose common lines number fewer than n is dropped, and below a top
+    point x only x's partners are tried: the smaller points that share at
+    least n lines with x.  A skipped point shares fewer than n lines with x,
+    so no grid contains both, and the first grid found is still the
+    colex-first.  A point's partners are counted the second time it is the
+    top point of a line and kept for the rest of the scan; the first time,
+    every lower point on the line is tried, so inputs refuted on their
+    first lines count nothing.
     """
     m, n = s.params.m, s.params.n
     adj = s._adj
+    partners: dict = {}  # top point -> None (seen once) or its partner set
     for l in s.lines:
-        for sigma in colex_combinations(sorted(adj[l]), m):
-            common = adj[sigma[0]]
-            for q in sigma[1:]:
-                common = common & adj[q]
-                if len(common) < n:
-                    break
+        pts = sorted(adj[l])
+        for i in range(m - 1, len(pts)):
+            x = pts[i]
+            if len(adj[x]) < n:
+                continue
+            if x not in partners:
+                partners[x] = None
+                cands = pts[:i]
             else:
-                if len(common) >= n:
-                    lines = tuple(sorted(common))[:n]
-                    return False, FreenessWitness(
-                        points=frozenset(sigma), lines=frozenset(lines)
-                    )
+                near = partners[x]
+                if near is None:
+                    shared = Counter(chain.from_iterable(adj[z] for z in adj[x]))
+                    near = partners[x] = {
+                        y for y, c in shared.items() if c >= n and y < x
+                    }
+                cands = [y for y in pts[:i] if y in near]
+            found = _grid(adj, n, adj[x], cands, m - 1)
+            if found is not None:
+                sigma, common = found
+                return False, FreenessWitness(
+                    points=frozenset(sigma + (x,)),
+                    lines=frozenset(sorted(common)[:n]),
+                )
     return True, None
 
 

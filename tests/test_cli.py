@@ -9,10 +9,25 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kmnfree
-from kmnfree import emit_structure, gamma, isomorphic_over, parse_structure
-from kmnfree.cli import DocumentError, dispatch, fixture_text
+from kmnfree import (
+    StructParams,
+    StructureBuilder,
+    emit_structure,
+    free_completion,
+    gamma,
+    isomorphic_over,
+    parse_structure,
+)
+from kmnfree.cli import (
+    DocumentError,
+    _completion_provenance,
+    dispatch,
+    fixture_text,
+    structure_document,
+)
 
 from conftest import build, quadrangle_structure
 
@@ -98,6 +113,70 @@ def test_fixture_matches_generator():
     assert isomorphic_over(g, s, {e: s.by_name(g.name(e))
                                   for e in g.elements()})
     assert emit_structure(s) == fixture_text("gamma_empty.json")
+
+
+def json_dumps_document(s, provenance=None):
+    """The canonical document as the json module writes it."""
+    return json.dumps(structure_document(s, provenance),
+                      indent=2, sort_keys=True) + "\n"
+
+
+AWKWARD_NAMES = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "caf\u00e9",
+                 "\u03bb", "\U0001f600", "", " "]
+
+
+@pytest.mark.parametrize("points, lines", [
+    (AWKWARD_NAMES[:4], AWKWARD_NAMES[4:]),
+    (["p10", "p9", "p2"], ["l10", "l9", "l1"]),
+    ([], ["l10", "l9"]),
+    (["p10", "p9"], []),
+    ([], []),
+])
+@pytest.mark.parametrize("provenance", [
+    None, {}, {"l9": {"stage": 2, "spawner": ["p9", "p10"]},
+               "l10": {"stage": 1, "spawner": []}},
+    {"k": -3, "l9": [1, 2.5, True, None, {"x": [], "\u00e9": {}}],
+     "numbered": {10: "a", 9: "b", 1.5: None}},
+])
+def test_document_writer_matches_json_dumps(points, lines, provenance):
+    incidences = [(p, l) for i, p in enumerate(points)
+                  for j, l in enumerate(lines) if (i + j) % 2 == 0]
+    s = build(2, 2, points=points, lines=lines, incidences=incidences,
+              guard=False)
+    assert emit_structure(s, provenance=provenance) == json_dumps_document(
+        s, provenance)
+
+
+def test_document_writer_matches_json_dumps_on_a_completion():
+    run = free_completion(quadrangle_structure(), 5)
+    s = run.final.structure
+    prov = _completion_provenance(s, run.final.provenance)
+    assert len(prov) == 42
+    assert emit_structure(s, provenance=prov) == json_dumps_document(s, prov)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_document_writer_matches_json_dumps_on_random_names(data):
+    names = data.draw(st.lists(st.text(max_size=4), unique=True, max_size=8))
+    sorts = data.draw(st.lists(st.booleans(), min_size=len(names),
+                               max_size=len(names)))
+    bld = StructureBuilder(StructParams(2, 3))
+    ids = [bld.add_point(nm) if is_point else bld.add_line(nm)
+           for nm, is_point in zip(names, sorts)]
+    pts = [e for e, is_point in zip(ids, sorts) if is_point]
+    lns = [e for e, is_point in zip(ids, sorts) if not is_point]
+    if lns:
+        for p in pts:
+            for l in data.draw(st.lists(st.sampled_from(lns), max_size=3)):
+                bld.add_incidence(p, l, guard=False)
+    s = bld.build()
+    keys = st.sampled_from(names) if names else st.just("")
+    record = st.fixed_dictionaries(
+        {"stage": st.integers(0, 9), "spawner": st.lists(keys, max_size=3)})
+    provenance = data.draw(st.none() | st.dictionaries(keys, record, max_size=4))
+    assert emit_structure(s, provenance=provenance) == json_dumps_document(
+        s, provenance)
 
 
 # ---------------------------------------------------------------------------

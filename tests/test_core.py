@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kmnfree import (
+    FreenessWitness,
     FreenessViolationError,
     ParameterError,
     Sort,
@@ -95,6 +96,61 @@ def test_freeness_matches_oracle_on_random_structures():
             assert all(
                 s.incident(p, l) for p in wit.points for l in wit.lines
             )
+
+
+def reference_is_kmn_free(s):
+    """The per-line colex scan that the partner search replaced: every
+    m-subset of each line's points, in colex order, lines in id order."""
+    m, n = s.params.m, s.params.n
+    for l in s.lines:
+        for sigma in colex_combinations(sorted(s.neighbors(l)), m):
+            common = functools.reduce(
+                operator.and_, (s.neighbors(p) for p in sigma))
+            if len(common) >= n:
+                return False, FreenessWitness(
+                    points=frozenset(sigma),
+                    lines=frozenset(sorted(common)[:n]),
+                )
+    return True, None
+
+
+@st.composite
+def unguarded_structures(draw):
+    """Small structures with point and line ids interleaved and incidences
+    added unguarded, from empty to dense: short lines, low-degree points
+    and grids all occur."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sorts = draw(st.lists(st.booleans(), min_size=1, max_size=14))
+    bld = StructureBuilder(StructParams(m, n))
+    ids = [bld.add_point() if is_point else bld.add_line() for is_point in sorts]
+    pts = [e for e, is_point in zip(ids, sorts) if is_point]
+    lns = [e for e, is_point in zip(ids, sorts) if not is_point]
+    if pts and lns:
+        pairs = [(p, l) for p in pts for l in lns]
+        for p, l in draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))):
+            bld.add_incidence(p, l, guard=False)
+    return bld.build()
+
+
+@given(unguarded_structures())
+@settings(max_examples=600, deadline=None)
+def test_freeness_matches_reference_scan(s):
+    assert is_kmn_free(s) == reference_is_kmn_free(s)
+
+
+def test_freeness_witness_comes_from_the_lowest_line():
+    # Line u, the lowest, carries the grid {a, b} x {u, w} and also c;
+    # line v carries {c, d} x {v, x}, whose points come first in id order.
+    s = build(2, 2, points=("c", "d", "a", "b"), lines=("u", "v", "w", "x"),
+              incidences=[(p, l) for p, l in itertools.product("ab", "uw")]
+              + [(p, l) for p, l in itertools.product("cd", "vx")]
+              + [("c", "u"), ("d", "w")],
+              guard=False)
+    assert is_kmn_free(s) == reference_is_kmn_free(s)
+    free, wit = is_kmn_free(s)
+    assert not free
+    assert wit.points == frozenset(s.by_name(x) for x in "ab")
+    assert wit.lines == frozenset(s.by_name(x) for x in "uw")
 
 
 def test_completeness_matches_oracle_on_random_structures():
@@ -243,6 +299,7 @@ def test_accessors(quadrangle):
     assert len(s) == 4
     assert list(s.elements()) == [0, 1, 2, 3]
     assert s.points == (0, 1, 2, 3) and s.lines == ()
+    assert s.points is s.points and s.lines is s.lines
     assert s.name(0) == "p1" and s.by_name("p4") == 3
     assert s.has_name("p2") and not s.has_name("p9")
     with pytest.raises(ParameterError):
