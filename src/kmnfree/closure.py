@@ -1,30 +1,27 @@
-"""Algebraic closure relative to a fixed ambient structure.
+"""Algebraic closure: one forcing engine for every ambient.
 
-The closure operator adds, at each stage, every ambient line incident with m
-distinct points already collected and every ambient point incident with n
-distinct lines already collected.  Nothing is ever created: these operators
-see exactly the elements the ambient structure has.  In a complete ambient
-structure the fixpoint is the model-theoretic algebraic closure of the seed;
-in a partial one it is the closure relative to that structure.
-
-For closures in the canonical completion of a partial structure (where
-forced elements may not exist yet and must be spawned), use
-``completion.LazyCompletion.closure`` instead.
+An m-set of points forces its n-1 common lines, and an n-set of lines its
+m-1 common points (Hall's free extension).  Each ambient states that rule
+once, as ``forced(sub)``: an ``IncidenceStructure`` returns the common
+neighbours it has, and ``completion.LazyCompletion`` also spawns the ones
+its workspace lacks.  This module keeps the one stage step (a set plus all
+it forces) and the one stage iterator, which the finite closures here and
+``LazyCompletion.closure`` run.  In a complete ambient the fixpoint is the
+algebraic closure of the seed; in a finite partial one, the closure
+relative to it.  To tell a fixpoint from a truncated run, a finite run with
+stage budget B computes one step past stage B, while a lazy run converges
+only if it stops within B steps: a further lazy step would spawn, and so
+change the ids of later spawns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional
 
-from .core import (
-    IncidenceStructure,
-    ParameterError,
-    Sort,
-    colex_combinations,
-    common_neighbors,
-)
+from .core import IncidenceStructure, ParameterError, Sort, colex_combinations
 
 
 class Ternary(Enum):
@@ -34,9 +31,17 @@ class Ternary(Enum):
 
 
 @dataclass(frozen=True)
-class ClosureStages:
-    stages: tuple  # frozensets of element ids, stages[0] == seed
+class ClosureRun:
+    """The recorded stages of a closure run, stages[0] being the seed.
+
+    ``converged`` means a genuine fixpoint: the final stage is closed under
+    forcing.  ``capped`` means a lazy workspace's element cap stopped the
+    run; the recorded stages are still exact.
+    """
+
+    stages: tuple  # frozensets of element ids
     converged: bool
+    capped: bool = False
 
     @property
     def closure_set(self) -> frozenset:
@@ -46,56 +51,74 @@ class ClosureStages:
         return [len(s) for s in self.stages]
 
 
-def _validate_subset(s: IncidenceStructure, elems: Iterable[int]) -> frozenset:
+def _checked(ambient, elems: Iterable[int], budget: Optional[int] = None) -> frozenset:
+    """``elems`` as a frozenset, after checking that they are ids of the
+    ambient and that the stage ``budget`` (None for none) is not negative."""
+    if budget is not None and budget < 0:
+        raise ParameterError("budget must be >= 0")
     out = frozenset(elems)
+    ids = range(len(ambient))
     for e in out:
-        if e not in s.elements():
+        if e not in ids:
             raise ParameterError(f"element {e} is not in the structure")
     return out
 
 
-def _step(s: IncidenceStructure, cur: frozenset) -> frozenset:
-    m, n = s.params.m, s.params.n
-    pts = sorted(e for e in cur if s.is_point(e))
-    lns = sorted(e for e in cur if s.is_line(e))
+def _step(ambient, cur: frozenset) -> frozenset:
+    """``cur`` plus everything forced by its m-sets of points and n-sets of
+    lines, scanned points first, each family in colex order (the order in
+    which a lazy ambient spawns)."""
+    pts, lns = [], []
+    for e in sorted(cur):
+        (pts if ambient.sort(e) is Sort.POINT else lns).append(e)
     nxt = set(cur)
-    for sigma in colex_combinations(pts, m):
-        nxt |= common_neighbors(s, sigma)
-    for tau in colex_combinations(lns, n):
-        nxt |= common_neighbors(s, tau)
+    forced = ambient.forced
+    m, n = ambient.params.m, ambient.params.n
+    for sub in chain(colex_combinations(pts, m), colex_combinations(lns, n)):
+        nxt |= forced(sub)
     return frozenset(nxt)
+
+
+def _stages_after(ambient, cur: frozenset) -> Iterator[frozenset]:
+    """The closure stages after ``cur``, lazily, ending at the fixpoint."""
+    while True:
+        nxt = _step(ambient, cur)
+        if nxt == cur:
+            return
+        cur = nxt
+        yield cur
+
+
+def _violator(ambient, d: frozenset):
+    """(True, None) if ``d`` is closed, else (False, the least element that
+    one step adds to ``d``)."""
+    missing = _step(ambient, d) - d
+    if missing:
+        return False, min(missing)
+    return True, None
 
 
 def closure_stages(
     s: IncidenceStructure, seed: Iterable[int], budget: int = 8
-) -> ClosureStages:
+) -> ClosureRun:
     """Stages of the closure of ``seed`` inside ``s``.
 
     The sequence is monotone and bounded by the ambient element count, so
     with a generous budget it always converges; a small budget may truncate
     the record (converged=False) without affecting recorded stages.
     """
-    if budget < 0:
-        raise ParameterError("budget must be >= 0")
-    cur = _validate_subset(s, seed)
-    stages = [cur]
-    for _ in range(budget):
-        nxt = _step(s, cur)
-        if nxt == cur:
-            return ClosureStages(tuple(stages), True)
-        cur = nxt
-        stages.append(cur)
-    return ClosureStages(tuple(stages), _step(s, cur) == cur)
+    cur = _checked(s, seed, budget)
+    later = _stages_after(s, cur)
+    stages = (cur, *islice(later, budget))
+    return ClosureRun(stages, next(later, None) is None)
 
 
 def i_closure(s: IncidenceStructure, seed: Iterable[int]) -> frozenset:
     """The closure of ``seed`` in ``s``, run to its fixpoint."""
-    cur = _validate_subset(s, seed)
-    while True:
-        nxt = _step(s, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    cur = _checked(s, seed)
+    for cur in _stages_after(s, cur):
+        pass
+    return cur
 
 
 def is_i_closed(s: IncidenceStructure, subset: Iterable[int]):
@@ -104,18 +127,7 @@ def is_i_closed(s: IncidenceStructure, subset: Iterable[int]):
     The violator is the least-id ambient element forced by some m-set of
     points (or n-set of lines) of the subset but missing from it.
     """
-    m, n = s.params.m, s.params.n
-    sub = _validate_subset(s, subset)
-    pts = sorted(e for e in sub if s.is_point(e))
-    lns = sorted(e for e in sub if s.is_line(e))
-    missing = set()
-    for sigma in colex_combinations(pts, m):
-        missing |= common_neighbors(s, sigma) - sub
-    for tau in colex_combinations(lns, n):
-        missing |= common_neighbors(s, tau) - sub
-    if missing:
-        return False, min(missing)
-    return True, None
+    return _violator(s, _checked(s, subset))
 
 
 def generates(
@@ -131,16 +143,12 @@ def generates(
     them (detail = the missing elements); UNKNOWN only when a finite budget
     truncates the run first.
     """
-    tgt = _validate_subset(s, target)
-    cur = _validate_subset(s, seed)
-    steps = 0
-    while True:
+    tgt = _checked(s, target)
+    cur = _checked(s, seed, budget)
+    later = _stages_after(s, cur)
+    for cur in chain((cur,), islice(later, budget)):
         if tgt <= cur:
             return Ternary.YES, frozenset()
-        nxt = _step(s, cur)
-        if nxt == cur:
-            return Ternary.NO, tgt - cur
-        if budget is not None and steps >= budget:
-            return Ternary.UNKNOWN, tgt - cur
-        cur = nxt
-        steps += 1
+    if next(later, None) is None:
+        return Ternary.NO, tgt - cur
+    return Ternary.UNKNOWN, tgt - cur

@@ -14,10 +14,13 @@ Also here:
 * ``relative_free_completion``: grows a copy of the free completion of an
   I-closed subset A inside the completion of the whole structure, stage by
   stage, and verifies the characteristic postconditions (each Y_k I-closed,
-  no stray incidences, stage-wise isomorphism with the free completion of A).
+  no stray incidences, the spawner-set correspondence an isomorphism over A
+  from the free completion of A onto the copy).
 * ``LazyCompletion``: a growable workspace representing the completion "as
-  deep as needed".  Instead of building whole stages it spawns exactly the
-  fresh elements forced by a given same-sort set.  Spawned elements
+  deep as needed".  It is an ambient of the closure engine in ``closure``:
+  its ``forced(sub)`` returns what a same-sort set forces in the completion,
+  spawning the fresh elements the workspace still lacks, and its closures
+  and closedness checks run the engine's one stage step.  Spawned elements
   correspond canonically to free-completion elements via their spawner sets,
   so closures computed against the workspace agree with closures computed in
   the full completion.
@@ -26,8 +29,10 @@ Also here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
+from .closure import ClosureRun, _checked, _stages_after, _violator, is_i_closed
 from .core import (
     BudgetError,
     IncidenceStructure,
@@ -38,7 +43,6 @@ from .core import (
     colex_combinations,
     induced,
     is_kmn_free,
-    isomorphic_over,
 )
 
 
@@ -70,15 +74,12 @@ class DeficientSets:
 
 def _deficient(s: IncidenceStructure) -> DeficientSets:
     m, n = s.params.m, s.params.n
-    nb = s.neighbors
+    forced = s.forced
     families = []
     for elems, k, most in ((s.points, m, n - 2), (s.lines, n, m - 2)):
         short = []
         for sub in colex_combinations(elems, k):
-            common = nb(sub[0])
-            for e in sub[1:]:
-                common = common & nb(e)
-            if len(common) <= most:
+            if len(forced(sub)) <= most:
                 short.append(frozenset(sub))
         families.append(tuple(short))
     return DeficientSets(*families)
@@ -183,28 +184,6 @@ def free_completion(
 
 
 @dataclass(frozen=True)
-class ClosureRun:
-    """Staged closure computed inside a LazyCompletion workspace.
-
-    ``converged`` means a genuine fixpoint: the final stage is closed under
-    forcing, hence equals the algebraic closure of the seed in the full
-    completion.  ``capped`` means the workspace element cap stopped the
-    computation; the recorded stages are still exact.
-    """
-
-    stages: tuple
-    converged: bool
-    capped: bool = False
-
-    @property
-    def closure_set(self) -> frozenset:
-        return self.stages[-1]
-
-    def sizes(self) -> list:
-        return [len(s) for s in self.stages]
-
-
-@dataclass(frozen=True)
 class RelativeCompletion:
     """Result of relative_free_completion.
 
@@ -231,15 +210,10 @@ def relative_free_completion(
     Y_0 = A and Y_{k+1} adds the stage-(k+1) fresh element of every deficient
     set lying inside Y_k.  Verifies, stage by stage: Y_k is I-closed in X_k,
     the union C meets B exactly in A, no incidence joins C minus A to B minus
-    A, and C with its stage structure is isomorphic over A to the standalone
-    free completion of A (via the spawner-set correspondence).
+    A, and the spawner-set correspondence is an isomorphism over A from the
+    standalone free completion of A onto C with its stage structure.
     """
-    from .closure import is_i_closed
-
-    a_set = frozenset(a_elements)
-    for e in a_set:
-        if e not in b_struct.elements():
-            raise ParameterError(f"element {e} is not in the ambient structure")
+    a_set = _checked(b_struct, a_elements)
     closed, violator = is_i_closed(b_struct, a_set)
     if not closed:
         raise PreconditionError(
@@ -247,9 +221,7 @@ def relative_free_completion(
         )
 
     x_run = free_completion(b_struct, stage_budget, element_cap)
-    by_spawner = {}
-    for e, p in x_run.final.provenance.items():
-        by_spawner[(p.stage, p.spawner)] = e
+    by_spawner = {(p.stage, p.spawner): e for e, p in x_run.final.provenance.items()}
 
     y_stages = [a_set]
     for k in range(stage_budget):
@@ -285,14 +257,11 @@ def relative_free_completion(
 
     a_struct, remap_a = induced(b_struct, a_set)
     free_a = free_completion(a_struct, stage_budget, element_cap)
-    inv_a = {v: k for k, v in remap_a.items()}
-    corr = dict(inv_a)
+    corr = {v: k for k, v in remap_a.items()}
     for k in range(stage_budget):
-        prov_next = free_a.stages[k + 1].provenance
-        stage_fresh = [
-            (e, p) for e, p in sorted(prov_next.items()) if p.stage == k + 1
-        ]
-        for e, p in stage_fresh:
+        for e, p in sorted(free_a.stages[k + 1].provenance.items()):
+            if p.stage != k + 1:
+                continue
             mapped = frozenset(corr[x] for x in p.spawner)
             target = by_spawner.get((k + 1, mapped))
             if target is None or target not in y_stages[k + 1]:
@@ -301,17 +270,14 @@ def relative_free_completion(
                     f"stage {k + 1}"
                 )
             corr[e] = target
-        if len({corr[e] for e in free_a.stages[k + 1].structure.elements()}) != len(
-            y_stages[k + 1]
-        ):
+        image = {corr[e] for e in free_a.stages[k + 1].structure.elements()}
+        if len(image) != len(y_stages[k + 1]):
             raise RuntimeError(
-                f"postcondition failure: |F_{k+1}(A)| != |Y_{k+1}|"
+                f"postcondition failure: the image of F_{k+1}(A) has "
+                f"{len(image)} elements, Y_{k+1} has {len(y_stages[k + 1])}"
             )
 
-    c_struct, remap_c = induced(final, c)
-    base = {e: remap_c[corr[e]] for e in free_a.final.structure.elements()}
-    iso = isomorphic_over(free_a.final.structure, c_struct, base)
-    if not iso:
+    if not _is_isomorphism(free_a.final.structure, final, c, corr):
         raise RuntimeError(
             "postcondition failure: C is not isomorphic over A to F(A)"
         )
@@ -325,13 +291,30 @@ def relative_free_completion(
     )
 
 
+def _is_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure,
+                    keep: frozenset, corr: dict) -> bool:
+    """Is ``corr`` an isomorphism from ``s1`` onto the substructure of ``s2``
+    induced on ``keep``?  It is when it maps the elements of s1 one to one
+    onto ``keep``, keeps sorts, and maps the neighbours of each element onto
+    the neighbours of its image in ``keep``: one pass over the incidences.
+    """
+    if len(corr) != len(s1) or len(keep) != len(s1) or set(corr.values()) != keep:
+        return False
+    return all(
+        s2.sort(corr[e]) is s1.sort(e)
+        and {corr[x] for x in s1.neighbors(e)} == s2.neighbors(corr[e]) & keep
+        for e in s1.elements()
+    )
+
+
 class LazyCompletion:
     """A canonical-completion workspace over a base structure.
 
     Grows the base by exactly the fresh elements forced by same-sort sets:
-    ``lines_through`` guarantees an m-set of distinct points its full n-1
-    common lines (spawning the missing ones, each incident exactly with the
-    set), and ``points_on`` does the dual.  Spawner provenance identifies
+    ``forced`` gives an m-set of distinct points its full n-1 common lines
+    (spawning the missing ones, each incident exactly with the set), and an
+    n-set of distinct lines its m-1 common points.  ``lines_through`` and
+    ``points_on`` are its checked forms.  Spawner provenance identifies
     spawned elements with the corresponding free-completion elements, so set
     closures computed here equal closures computed in the full completion.
     """
@@ -341,14 +324,11 @@ class LazyCompletion:
         if not ok:
             raise PreconditionError(f"ambient structure is not K-free: {witness}")
         self.base = base
+        self.params = base.params
         self.builder = StructureBuilder.from_structure(base)
         self.element_cap = element_cap
         self.provenance: dict = {}
         self._snapshot: Optional[IncidenceStructure] = None
-
-    @property
-    def params(self):
-        return self.base.params
 
     def __len__(self) -> int:
         return len(self.builder)
@@ -385,39 +365,47 @@ class LazyCompletion:
         self.provenance[fresh] = Provenance(fresh, -1, spawner)
         return fresh
 
-    def _common(self, elems: Sequence[int]) -> set:
-        acc = set(self.builder.neighbors(elems[0]))
-        for e in elems[1:]:
-            acc &= self.builder.neighbors(e)
-        return acc
+    def forced(self, sub: Sequence[int]) -> frozenset:
+        """The completion elements incident with every member of ``sub``: the
+        n-1 lines of an m-set of points or the m-1 points of an n-set of
+        lines.  Spawns the ones the workspace lacks, in order, each incident
+        exactly with ``sub``.
+
+        Unchecked: ``sub`` is a sorted sequence of m distinct points or of n
+        distinct lines.
+        """
+        nb = self.builder.neighbors
+        have = nb(sub[0]).intersection(*map(nb, sub[1:]))
+        if self.builder.sort(sub[0]) is Sort.POINT:
+            sort, want = Sort.LINE, self.params.n - 1
+        else:
+            sort, want = Sort.POINT, self.params.m - 1
+        while len(have) < want:
+            have.add(self._spawn(sort, frozenset(sub)))
+        return frozenset(have)
+
+    def _distinct(
+        self, elems: Iterable[int], sort: Sort, k: int, caller: str
+    ) -> list:
+        """``elems`` sorted, after checking they are k distinct workspace
+        elements of ``sort``."""
+        elems = sorted(_checked(self, elems))
+        if len(elems) != k:
+            raise ParameterError(f"need exactly {k} distinct {sort.value}s")
+        for e in elems:
+            if self.builder.sort(e) is not sort:
+                raise ParameterError(f"{caller} takes {sort.value}s")
+        return elems
 
     def lines_through(self, sigma: Iterable[int]) -> frozenset:
         """All n-1 completion lines through the m distinct points sigma."""
-        m, n = self.params.m, self.params.n
-        sigma = sorted(set(sigma))
-        if len(sigma) != m:
-            raise ParameterError(f"need exactly {m} distinct points")
-        for q in sigma:
-            if self.builder.sort(q) is not Sort.POINT:
-                raise ParameterError("lines_through takes points")
-        have = self._common(sigma)
-        while len(have) < n - 1:
-            have.add(self._spawn(Sort.LINE, frozenset(sigma)))
-        return frozenset(have)
+        sigma = self._distinct(sigma, Sort.POINT, self.params.m, "lines_through")
+        return self.forced(sigma)
 
     def points_on(self, tau: Iterable[int]) -> frozenset:
         """All m-1 completion points on the n distinct lines tau."""
-        m, n = self.params.m, self.params.n
-        tau = sorted(set(tau))
-        if len(tau) != n:
-            raise ParameterError(f"need exactly {n} distinct lines")
-        for l in tau:
-            if self.builder.sort(l) is not Sort.LINE:
-                raise ParameterError("points_on takes lines")
-        have = self._common(tau)
-        while len(have) < m - 1:
-            have.add(self._spawn(Sort.POINT, frozenset(tau)))
-        return frozenset(have)
+        tau = self._distinct(tau, Sort.LINE, self.params.n, "points_on")
+        return self.forced(tau)
 
     def closure(self, seed: Iterable[int], stage_budget: int = 8) -> ClosureRun:
         """Staged algebraic closure of ``seed`` in the canonical completion.
@@ -425,53 +413,25 @@ class LazyCompletion:
         stages[t] is the t-th closure stage as a frozenset of workspace ids.
         A fixpoint certifies genuine convergence: every m-set of points then
         has its full n-1 lines inside the set (and dually), so nothing
-        outside can ever be forced.  Hitting the element cap reports
+        outside can ever be forced.  The run converges only if it reaches
+        the fixpoint within ``stage_budget`` steps; it takes no step past
+        the budget, which would spawn.  Hitting the element cap reports
         capped=True instead of raising; the recorded stages remain exact.
         """
-        m, n = self.params.m, self.params.n
-        cur = frozenset(seed)
-        stages = [cur]
-        for _ in range(stage_budget):
-            pts = sorted(e for e in cur if self.builder.sort(e) is Sort.POINT)
-            lns = sorted(e for e in cur if self.builder.sort(e) is Sort.LINE)
-            nxt = set(cur)
-            try:
-                for sigma in colex_combinations(pts, m):
-                    nxt |= self.lines_through(sigma)
-                for tau in colex_combinations(lns, n):
-                    nxt |= self.points_on(tau)
-            except BudgetError:
-                return ClosureRun(tuple(stages), False, capped=True)
-            nxt = frozenset(nxt)
-            if nxt == cur:
-                return ClosureRun(tuple(stages), True)
-            cur = nxt
-            stages.append(cur)
-        return ClosureRun(tuple(stages), False)
+        stages = [_checked(self, seed, stage_budget)]
+        try:
+            for cur in islice(_stages_after(self, stages[0]), stage_budget):
+                stages.append(cur)
+        except BudgetError:
+            return ClosureRun(tuple(stages), False, capped=True)
+        return ClosureRun(tuple(stages), len(stages) <= stage_budget)
 
     def is_monster_closed(self, d: Iterable[int]):
         """Is d I-closed in the full completion?  Returns (bool, violator).
 
         d is closed iff every m-set of its points already has all n-1 common
-        lines inside d, and dually; any missing forced element (existing in
-        the workspace or freshly spawned) is the violator.
+        lines inside d, and dually; otherwise the violator is the least
+        element (existing in the workspace or freshly spawned) that one
+        closure step adds to d.
         """
-        m, n = self.params.m, self.params.n
-        d = frozenset(d)
-        pts = sorted(e for e in d if self.builder.sort(e) is Sort.POINT)
-        lns = sorted(e for e in d if self.builder.sort(e) is Sort.LINE)
-        for sigma in colex_combinations(pts, m):
-            forced = self.lines_through(sigma)
-            out = forced - d
-            if out:
-                return False, min(out)
-        for tau in colex_combinations(lns, n):
-            forced = self.points_on(tau)
-            out = forced - d
-            if out:
-                return False, min(out)
-        return True, None
-
-    def induced_on(self, elems: Iterable[int]):
-        """Induced substructure of the current workspace on ``elems``."""
-        return induced(self.snapshot(), elems)
+        return _violator(self, _checked(self, d))

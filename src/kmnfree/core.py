@@ -35,9 +35,6 @@ class Sort(enum.Enum):
     POINT = "point"
     LINE = "line"
 
-    def opposite(self) -> "Sort":
-        return Sort.LINE if self is Sort.POINT else Sort.POINT
-
 
 class ParameterError(ValueError):
     """Bad structural parameters or malformed arguments."""
@@ -202,6 +199,18 @@ class IncidenceStructure:
         """All elements of the opposite sort incident with e."""
         return self._adj[e]
 
+    def forced(self, sub: Sequence[int]) -> frozenset:
+        """The elements incident with every member of ``sub``: for an m-set
+        of points the lines it forces, for an n-set of lines the points.
+
+        Unchecked: ``sub`` is a nonempty same-sort sequence of element ids.
+        """
+        adj = self._adj
+        common = adj[sub[0]]
+        for e in sub[1:]:
+            common = common & adj[e]
+        return common
+
     def degree(self, e: int) -> int:
         return len(self._adj[e])
 
@@ -286,12 +295,6 @@ class StructureBuilder:
 
     def neighbors(self, e: int) -> set:
         return self._adj[e]
-
-    def points(self) -> list:
-        return [e for e in range(len(self._sorts)) if self._sorts[e] is Sort.POINT]
-
-    def lines(self) -> list:
-        return [e for e in range(len(self._sorts)) if self._sorts[e] is Sort.LINE]
 
     def _add_element(self, sort: Sort, name: Optional[str]) -> int:
         e = len(self._sorts)
@@ -438,10 +441,7 @@ def common_neighbors(s: IncidenceStructure, ys: Iterable[int]) -> frozenset:
     sorts = {s.sort(y) for y in ys}
     if len(sorts) != 1:
         raise SortError("common_neighbors requires a same-sort element set")
-    acc = set(s.neighbors(ys[0]))
-    for y in ys[1:]:
-        acc &= s.neighbors(y)
-    return frozenset(acc)
+    return s.forced(ys)
 
 
 @dataclass(frozen=True)
@@ -462,14 +462,12 @@ def satisfies_complete(s: IncidenceStructure) -> CompletenessReport:
     Point subsets are scanned before line subsets, colex within each.
     """
     m, n = s.params.m, s.params.n
-    adj = s._adj
+    forced = s.forced
     for elems, k, want, kind in ((s.points, m, n - 1, "points"), (s.lines, n, m - 1, "lines")):
-        for sub in colex_combinations(sorted(elems), k):
-            common = adj[sub[0]]
-            for e in sub[1:]:
-                common = common & adj[e]
-            if len(common) != want:
-                return CompletenessReport(False, kind, frozenset(sub), len(common))
+        for sub in colex_combinations(elems, k):
+            count = len(forced(sub))
+            if count != want:
+                return CompletenessReport(False, kind, frozenset(sub), count)
     return CompletenessReport(True)
 
 

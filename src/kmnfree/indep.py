@@ -79,14 +79,6 @@ class IndepQuery:
                     raise ParameterError(f"{label} element {e} is not in the ambient")
 
 
-def _closures(q: IndepQuery, work: LazyCompletion):
-    """Closure runs for C, A|C, B|C in one shared workspace."""
-    rc = work.closure(q.c, q.stage_budget)
-    ra = work.closure(q.a | q.c, q.stage_budget)
-    rb = work.closure(q.b | q.c, q.stage_budget)
-    return rc, ra, rb
-
-
 def _unconverged(runs) -> Optional[str]:
     for label, run in runs:
         if not run.converged:
@@ -95,56 +87,60 @@ def _unconverged(runs) -> Optional[str]:
     return None
 
 
-def a_indep(q: IndepQuery, work: Optional[LazyCompletion] = None) -> Verdict:
-    work = work or LazyCompletion(q.ambient, q.element_cap)
-    rc, ra, rb = _closures(q, work)
-    stuck = _unconverged((("C", rc), ("AC", ra), ("BC", rb)))
+def _alg(q: IndepQuery, work: LazyCompletion):
+    """The closure runs of C, AC and BC in the shared ``work``, and the ALG
+    verdict on them."""
+    runs = tuple(work.closure(s, q.stage_budget) for s in (q.c, q.a | q.c, q.b | q.c))
+    stuck = _unconverged(zip(("C", "AC", "BC"), runs))
     if stuck:
-        return Verdict(Status.UNKNOWN, None, stuck)
+        return runs, Verdict(Status.UNKNOWN, None, stuck)
+    rc, ra, rb = runs
     overlap = (ra.closure_set & rb.closure_set) - rc.closure_set
     if overlap:
         w = min(overlap)
-        return Verdict(
+        return runs, Verdict(
             Status.DEPENDENT, w, f"element {work.name(w)!r} lies in both closures"
         )
-    return Verdict(Status.INDEPENDENT)
+    return runs, Verdict(Status.INDEPENDENT)
 
 
-def i_indep(q: IndepQuery, work: Optional[LazyCompletion] = None) -> Verdict:
-    work = work or LazyCompletion(q.ambient, q.element_cap)
-    rc, ra, rb = _closures(q, work)
-    stuck = _unconverged((("C", rc), ("AC", ra), ("BC", rb)))
-    if stuck:
-        return Verdict(Status.UNKNOWN, None, stuck)
-    overlap = (ra.closure_set & rb.closure_set) - rc.closure_set
-    if overlap:
-        w = min(overlap)
-        return Verdict(
-            Status.DEPENDENT, w, f"element {work.name(w)!r} lies in both closures"
-        )
-    left = sorted(ra.closure_set - rc.closure_set)
+def _i(q: IndepQuery, work: LazyCompletion):
+    """``_alg``'s runs and the I verdict: ALG, and no incidence joins the two
+    closures outside the base closure."""
+    runs, v = _alg(q, work)
+    if v.status is not Status.INDEPENDENT:
+        return runs, v
+    rc, ra, rb = runs
     right = rb.closure_set - rc.closure_set
-    for x in left:
+    for x in sorted(ra.closure_set - rc.closure_set):
         hit = work.neighbors(x) & right
         if hit:
             y = min(hit)
             # report the incidence in document order: point first
             p, l = (x, y) if work.sort(x) is Sort.POINT else (y, x)
-            return Verdict(
+            return runs, Verdict(
                 Status.DEPENDENT,
                 (p, l),
                 f"incidence between {work.name(p)!r} and {work.name(l)!r} "
                 "joins the two closures",
             )
-    return Verdict(Status.INDEPENDENT)
+    return runs, v
+
+
+def a_indep(q: IndepQuery, work: Optional[LazyCompletion] = None) -> Verdict:
+    return _alg(q, work or LazyCompletion(q.ambient, q.element_cap))[1]
+
+
+def i_indep(q: IndepQuery, work: Optional[LazyCompletion] = None) -> Verdict:
+    return _i(q, work or LazyCompletion(q.ambient, q.element_cap))[1]
 
 
 def d_indep(q: IndepQuery) -> Verdict:
     work = LazyCompletion(q.ambient, q.element_cap)
     rbc = work.closure(q.b | q.c, q.stage_budget)
-    if not rbc.converged:
-        why = "element cap" if rbc.capped else "stage budget"
-        return Verdict(Status.UNKNOWN, None, f"closure of BC did not converge ({why})")
+    stuck = _unconverged((("BC", rbc),))
+    if stuck:
+        return Verdict(Status.UNKNOWN, None, stuck)
     free_part = sorted(rbc.closure_set - q.c)
     if len(free_part) > q.d_bound:
         return Verdict(
@@ -189,12 +185,9 @@ def d_indep(q: IndepQuery) -> Verdict:
 
 def otimes_check(q: IndepQuery) -> Verdict:
     work = LazyCompletion(q.ambient, q.element_cap)
-    base_verdict = i_indep(q, work)
+    (_, ra, rb), base_verdict = _i(q, work)
     if base_verdict.status is not Status.INDEPENDENT:
         return base_verdict
-    rc = work.closure(q.c, q.stage_budget)
-    ra = work.closure(q.a | q.c, q.stage_budget)
-    rb = work.closure(q.b | q.c, q.stage_budget)
     k = q.stage_budget
 
     run = work.closure(q.a | q.b | q.c, k)

@@ -334,6 +334,17 @@ def test_unknown_set_name(capsys, tmp_path):
     assert "zz" in doc["error"]
 
 
+def test_negative_stage_budget_is_a_usage_error(capsys, tmp_path):
+    # the finite and the lazy closure reject it with the same check
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(quadrangle_structure()))
+    for argv in (("closure", str(f), "--set", "p1,p2"),
+                 ("indep", str(f), "--rel", "i", "--a", "p1", "--b", "p2")):
+        code, doc, err = run_json(capsys, *argv, "--stages", "-1")
+        assert code == 1
+        assert doc == {"error": "budget must be >= 0"}
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: undecided
 

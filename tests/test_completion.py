@@ -273,3 +273,46 @@ def test_relative_completion_requires_closed_subset(quadrangle):
     from kmnfree import PreconditionError
     with pytest.raises(PreconditionError):
         relative_free_completion(s, [0, 1], stage_budget=2)
+
+
+def _relative_runs():
+    q = quadrangle_structure()
+    yield relative_free_completion(q, [0, 1, 2], stage_budget=3)
+    s = free_completion(q, stages=1).final.structure
+    line = next(iter(s.neighbors(0) & s.neighbors(1)))
+    yield relative_free_completion(s, [0, 1, line], stage_budget=2)
+    rng = random.Random(50505)
+    while True:
+        m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+        b = random_free_structure(rng, m, n, max_elements=7)
+        a = i_closure(b, rng.sample(sorted(b.elements()), rng.randint(1, len(b))))
+        try:
+            yield relative_free_completion(b, a, stage_budget=2, element_cap=400)
+        except BudgetError:
+            continue
+
+
+def test_correspondence_check_agrees_with_isomorphic_over():
+    # the linear check of the spawner correspondence against the search it
+    # replaced: on real runs, and after swapping the images of two elements
+    runs = itertools.islice(_relative_runs(), 12)
+    for rc in runs:
+        fa = rc.free_a.final.structure
+        final = rc.x_run.final.structure
+        corr = rc.correspondence
+        c_struct, remap = induced(final, rc.c)
+
+        def both(cmap):
+            fast = completion._is_isomorphism(fa, final, rc.c, cmap)
+            base = {e: remap[img] for e, img in cmap.items()}
+            return fast, bool(isomorphic_over(fa, c_struct, base))
+
+        assert both(corr) == (True, True)
+        for sort_elems in (fa.points, fa.lines):
+            for x, y in itertools.combinations(sort_elems[:8], 2):
+                swapped = dict(corr)
+                swapped[x], swapped[y] = corr[y], corr[x]
+                fast, slow = both(swapped)
+                assert fast == slow
+                if fa.neighbors(x) != fa.neighbors(y):
+                    assert not fast
