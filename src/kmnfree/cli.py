@@ -21,9 +21,10 @@ the answer is unknown.
 
 Budgets: --stages (closure/completion stages, default 8), --elements
 (workspace element cap, default 100000), --nodes (search node budget,
-default 10000000; --budget is an alias).  --seed and --jobs are accepted
-for interface stability; the implementation is deterministic and
-sequential, so neither changes any output.
+default 10000000; --budget is an alias); a negative budget is a usage
+error.  --seed and --jobs are accepted for interface stability; the
+implementation is deterministic and sequential, so neither changes any
+output.
 """
 
 import argparse
@@ -851,6 +852,9 @@ def dispatch(argv: Sequence[str]) -> int:
             args.stages = _STAGE_DEFAULTS.get(args.command, 8)
         if getattr(args, "elements", None) is None:
             args.elements = _ELEMENT_DEFAULTS.get(args.command, 100_000)
+        budgets = ("stages", "elements", "nodes", "d_bound")
+        if any((getattr(args, b, None) or 0) < 0 for b in budgets):
+            raise UsageError("budget must be >= 0")
         return _HANDLERS[args.command](args)
     except BudgetError as e:
         sys.stdout.write(_dumps({"status": "unknown", "detail": str(e)}))

@@ -15,8 +15,10 @@ checkers) is built on the small vocabulary here:
   top point's *partners*, the points sharing at least n lines with it (the
   shared-neighbour count used to find 4-cycles; Alon, Yuster and Zwick,
   Algorithmica 17, 1997).
-* ``isomorphic_over``: backtracking isomorphism extending a partial base map,
-  deterministic (returns the lexicographically least isomorphism).
+* ``_match``: the one backtracking matcher, iterative, for injective maps
+  that keep sorts and incidence.  ``isomorphic_over`` runs it to extend a
+  partial base map (to the lexicographically least isomorphism), and
+  ``finsearch`` to embed structures into planes.
 
 Deterministic subset scans use colexicographic order throughout (subsets
 compared by largest element first), so reported witnesses are stable.
@@ -28,7 +30,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class Sort(enum.Enum):
@@ -483,6 +485,54 @@ class IsoResult:
         return self.mapping is not None
 
 
+def _match(small: IncidenceStructure, big: IncidenceStructure, order: Sequence[int],
+           candidates: Callable[[int, dict], Iterable[int]], mapping: dict,
+           node_budget: Optional[int] = None) -> tuple:
+    """Extend ``mapping`` (small -> big, in place) over ``order``, assigning
+    its elements in turn; returns (outcome, nodes).
+
+    Each element tries the unused images of ``candidates(e, mapping)`` in
+    their order, each one node, counted after the budget check.  An image
+    passes when its neighbours among the mapped images of the other sort are
+    exactly the images of e's mapped neighbours: with an injective map, the
+    pairwise incidence test.  The outcome is True when all are mapped, False
+    when the space is exhausted, None when ``node_budget`` ran out.  A stack
+    frame keeps its element, candidate iterator, wanted set and used and
+    opposite image sets, so backtracking recomputes nothing.
+    """
+    small_adj, big_adj, sorts, point = small._adj, big._adj, small._sorts, Sort.POINT
+    pimg = {b for a, b in mapping.items() if sorts[a] is point}
+    limg = set(mapping.values()) - pimg
+    budget = float("inf") if node_budget is None else node_budget
+    nodes = 0
+    stack: list = []
+    while len(stack) < len(order):
+        e = order[len(stack)]
+        used, opp = (pimg, limg) if sorts[e] is point else (limg, pimg)
+        want = {mapping[o] for o in small_adj[e] if o in mapping}
+        stack.append((e, iter(candidates(e, mapping)), want, used, opp))
+        while True:
+            e, cands, want, used, opp = stack[-1]
+            for img in cands:
+                if img in used:
+                    continue
+                if nodes >= budget:
+                    return None, nodes
+                nodes += 1
+                if big_adj[img] & opp == want:
+                    mapping[e] = img
+                    used.add(img)
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    return False, nodes
+                stack[-1][3].remove(mapping.pop(stack[-1][0]))
+                continue
+            break
+    return True, nodes
+
+
 def isomorphic_over(
     s1: IncidenceStructure,
     s2: IncidenceStructure,
@@ -495,6 +545,8 @@ def isomorphic_over(
     lexicographically least extension.  Returns IsoResult(None) if none
     exists; base_conflict is set when the base map itself is not a partial
     embedding.  Malformed bases (sort clash, non-injective) raise instead.
+    An element's candidates are the s2-elements of its sort and degree on
+    the images of all its mapped neighbours: every other image fails.
     """
     if s1.params != s2.params:
         return IsoResult(None)
@@ -509,59 +561,30 @@ def isomorphic_over(
     if len(set(base.values())) != len(base):
         raise ParameterError("base map is not injective")
     # base must be a partial embedding: incidences among mapped elements agree
-    items = sorted(base.items())
-    for i, (a, fa) in enumerate(items):
-        for b, fb in items[:i]:
-            if s1.sort(a) is s1.sort(b):
-                continue
-            if s1.incident(*((a, b) if s1.is_point(a) else (b, a))) != s2.incident(
-                *((fa, fb) if s2.is_point(fa) else (fb, fa))
-            ):
-                return IsoResult(None, base_conflict=True)
+    mapping: dict = {}
+    if not _match(s1, s2, sorted(base), lambda a, _: (base[a],), mapping)[0]:
+        return IsoResult(None, base_conflict=True)
 
-    if len(s1.points) != len(s2.points) or len(s1.lines) != len(s2.lines):
+    def keys(s):  # (is a point, degree) per element
+        return [(srt is Sort.POINT, len(nb)) for srt, nb in zip(s._sorts, s._adj)]
+
+    adj1, adj2, key1, key2 = s1._adj, s2._adj, keys(s1), keys(s2)
+    # the same point and line counts and degree sequences
+    if sorted(key1) != sorted(key2):
         return IsoResult(None)
+    by_class: dict = {}  # key -> s2-elements in id order
+    for b, key in enumerate(key2):
+        by_class.setdefault(key, []).append(b)
 
-    def degseq(st, es):
-        return sorted(st.degree(e) for e in es)
+    def candidates(a: int, mapping: dict):
+        on = sorted((adj2[mapping[u]] for u in adj1[a] if u in mapping), key=len)
+        if not on:
+            return by_class[key1[a]]
+        degree = len(adj1[a])
+        return sorted(b for b in on[0].intersection(*on[1:]) if len(adj2[b]) == degree)
 
-    if degseq(s1, s1.points) != degseq(s2, s2.points):
-        return IsoResult(None)
-    if degseq(s1, s1.lines) != degseq(s2, s2.lines):
-        return IsoResult(None)
-
-    mapping = dict(base)
-    used = set(base.values())
     order = [e for e in s1.elements() if e not in mapping]
-
-    def feasible(a: int, b: int) -> bool:
-        if s1.degree(a) != s2.degree(b):
-            return False
-        for u, fu in mapping.items():
-            if s1.sort(u) is s1.sort(a):
-                continue
-            if (u in s1.neighbors(a)) != (fu in s2.neighbors(b)):
-                return False
-        return True
-
-    def search(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        a = order[idx]
-        want = s1.sort(a)
-        for b in s2.elements():
-            if b in used or s2.sort(b) is not want:
-                continue
-            if feasible(a, b):
-                mapping[a] = b
-                used.add(b)
-                if search(idx + 1):
-                    return True
-                del mapping[a]
-                used.discard(b)
-        return False
-
-    if search(0):
+    if _match(s1, s2, order, candidates, mapping)[0]:
         return IsoResult(dict(sorted(mapping.items())))
     return IsoResult(None)
 

@@ -11,7 +11,8 @@ lexicographic order.  That rule never discards a solution, keeps the
 search deterministic, and fixes the very first line to the least
 possible point set.
 
-Embedding queries reuse found planes through a cache keyed by order.
+Embedding queries reuse found planes through a cache keyed by order, and
+search with the one backtracking matcher of ``core``.
 All searches are budgeted in decision nodes; a budget hit is reported
 as UNKNOWN rather than an error, since exhausting the space is the only
 way to conclude NONE.
@@ -29,6 +30,7 @@ from .core import (
     PreconditionError,
     StructParams,
     StructureBuilder,
+    _match,
     is_kmn_free,
     satisfies_complete,
 )
@@ -298,57 +300,19 @@ def _induced_embedding(
     big: IncidenceStructure,
     node_budget: int,
 ) -> Tuple[SearchStatus, Optional[Dict[int, int]], int]:
-    """Backtracking search for an induced embedding small -> big.
+    """Induced embedding small -> big by the matcher in ``core``.
 
-    A candidate image is tested by one set comparison: its neighbours
-    among the images of mapped elements of the other sort must be exactly
-    the images of its element's mapped neighbours.  Because the mapping
-    is injective, that is the pairwise incidence test, so the candidates
-    tried, and the node count, are those of a pairwise scan.
+    Elements are assigned most-constrained first, and every element tries
+    all points or all lines of ``big`` in id order, each unused one a node.
     """
-    order = _assignment_order(small)
-    pts = sorted(big.points)
-    lns = sorted(big.lines)
+    images = [big.points if small.is_point(e) else big.lines for e in small.elements()]
     mapping: Dict[int, int] = {}
-    point_images: set = set()
-    line_images: set = set()
-    nodes = 0
-
-    def dfs(idx: int) -> Optional[bool]:
-        # None signals budget exhaustion up the stack
-        nonlocal nodes
-        if idx == len(order):
-            return True
-        e = order[idx]
-        if small.is_point(e):
-            candidates, used, opposite = pts, point_images, line_images
-        else:
-            candidates, used, opposite = lns, line_images, point_images
-        want = {mapping[o] for o in small.neighbors(e) if o in mapping}
-        for img in candidates:
-            if img in used:
-                continue
-            if nodes >= node_budget:
-                return None
-            nodes += 1
-            if big.neighbors(img) & opposite != want:
-                continue
-            mapping[e] = img
-            used.add(img)
-            hit = dfs(idx + 1)
-            if hit:
-                return True
-            del mapping[e]
-            used.remove(img)
-            if hit is None:
-                return None
-        return False
-
-    outcome = dfs(0)
+    outcome, nodes = _match(small, big, _assignment_order(small),
+                            lambda e, _: images[e], mapping, node_budget)
     if outcome is None:
         return SearchStatus.UNKNOWN, None, nodes
     if outcome:
-        return SearchStatus.FOUND, dict(mapping), nodes
+        return SearchStatus.FOUND, mapping, nodes
     return SearchStatus.NONE, None, nodes
 
 

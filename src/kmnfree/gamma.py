@@ -48,7 +48,8 @@ from .core import (
 from .completion import (
     CompletionStage,
     LazyCompletion,
-    complete_step,
+    _deficient,
+    _step,
     deficient_sets,
     initial_stage,
 )
@@ -559,24 +560,27 @@ def nonfree_completion_probe(
     """
     if a.params != StructParams(2, 2):
         raise ParameterError("the probe runs at parameters (2, 2)")
-    if not deficient_sets(a):
+    defs = deficient_sets(a)
+    if not defs:
         return ProbeResult(False, reason="no deficiencies")
 
+    # the seed is free, and so is every stage (proof at complete_step): each
+    # later stage is only scanned for its deficient sets
     stage = initial_stage(a)
-    stages = [stage]
     working: Optional[CompletionStage] = None
     for _ in range(stage_budget):
         if len(stage.structure) > 3_000:
             raise BudgetError(
                 "growth precondition unverified: stage too large to expand"
             )
-        nxt = complete_step(stage)
-        if len(nxt.structure) == len(stage.structure):
-            return ProbeResult(False, reason="free completion converged finite")
-        if len(nxt.structure) > element_cap:
+        if stage.k > 0:
+            defs = _deficient(stage.structure)
+            if not defs:
+                return ProbeResult(False, reason="free completion converged finite")
+        grow = len(defs.point_sets) + len(defs.line_sets)
+        if len(stage.structure) + grow > element_cap:
             raise BudgetError("growth precondition unverified: element cap hit")
-        stages.append(nxt)
-        stage = nxt
+        stage = _step(stage, defs)
         if any(stage.structure.degree(p) >= 7 for p in stage.structure.points):
             working = stage
             break

@@ -345,6 +345,22 @@ def test_negative_stage_budget_is_a_usage_error(capsys, tmp_path):
         assert doc == {"error": "budget must be >= 0"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("indep", "Q", "--rel", "d", "--a", "p1", "--b", "p2", "--d-bound", "-1"),
+    ("indep", "Q", "--rel", "d", "--a", "p1", "--b", "p2", "--elements", "-1"),
+    ("complete", "Q", "--elements", "-5"),
+    ("plane", "--order", "3", "--nodes", "-1"),
+    ("probe", "Q", "--stages", "-1"),
+])
+def test_negative_budgets_are_usage_errors(capsys, tmp_path, argv):
+    # no negative budget reads as an exhausted one (exit 2)
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(quadrangle_structure()))
+    code, doc, err = run_json(capsys, *(str(f) if a == "Q" else a for a in argv))
+    assert code == 1
+    assert doc == {"error": "budget must be >= 0"}
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: undecided
 
