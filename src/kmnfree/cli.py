@@ -219,10 +219,10 @@ def _json_text(value, pad: str) -> str:
     return json.dumps(value)
 
 
-def _document_text(s: IncidenceStructure, provenance: Optional[dict]) -> str:
-    """``_dumps(structure_document(s, provenance))``, written directly:
-    each name is escaped once and the fixed layout is joined from strings.
-    The free-form provenance goes through ``_json_text``."""
+def _document_text(s: IncidenceStructure, provenance: Optional[str]) -> str:
+    """``_dumps(structure_document(s, ...))``, written directly: each name
+    is escaped once and the fixed layout is joined from strings.
+    ``provenance`` is that key's value, already written at indent two."""
     q = [_quote(nm) for nm in s._names]
     adj = s._adj
     incidences = [
@@ -237,7 +237,7 @@ def _document_text(s: IncidenceStructure, provenance: Optional[dict]) -> str:
         ',\n  "points": ', _json_array([q[p] for p in s.points], "  "),
     ]
     if provenance is not None:
-        out += [',\n  "provenance": ', _json_text(provenance, "  ")]
+        out += [',\n  "provenance": ', provenance]
     out.append("\n}\n")
     return "".join(out)
 
@@ -257,7 +257,8 @@ def emit_structure(
     pure-Python encoder; the text is the same byte for byte.
     """
     if fmt == "json":
-        return _document_text(s, provenance)
+        prov = None if provenance is None else _json_text(provenance, "  ")
+        return _document_text(s, prov)
     if fmt != "dot":
         raise ParameterError(f"unknown format: {fmt}")
     out: List[str] = ["graph incidence {"]
@@ -275,15 +276,16 @@ def emit_structure(
     return "\n".join(out) + "\n"
 
 
-def _completion_provenance(s: IncidenceStructure, prov: dict) -> dict:
-    return {
-        s.name(e): {
-            "stage": rec.stage,
-            "spawner": [s.name(x) for x in sorted(rec.spawner)],
-        }
-        for e, rec in sorted(prov.items())
-        if rec.stage > 0
-    }
+def _provenance_text(s: IncidenceStructure, prov: dict) -> str:
+    """The completion provenance as ``_json_text`` writes it, record by record."""
+    q, sep = [_quote(nm) for nm in s._names], ",\n        "
+    records = [
+        f'{q[rec.element]}: {{\n      "spawner": [\n        '
+        f'{sep.join([q[x] for x in sorted(rec.spawner)])}'
+        f'\n      ],\n      "stage": {rec.stage}\n    }}'
+        for _, rec in sorted((s._names[e], rec) for e, rec in prov.items())
+    ]
+    return "{\n    " + ",\n    ".join(records) + "\n  }" if records else "{}"
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +346,8 @@ def _emit(doc: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _emit_structure_out(
-    s: IncidenceStructure, fmt: str, summary: str, provenance=None
-) -> None:
-    sys.stdout.write(emit_structure(s, fmt, provenance=provenance))
+def _emit_structure_out(s: IncidenceStructure, fmt: str, summary: str) -> None:
+    sys.stdout.write(emit_structure(s, fmt))
     print(summary, file=sys.stderr)
 
 
@@ -412,14 +412,14 @@ def _cmd_closure(args) -> int:
 def _cmd_complete(args) -> int:
     s = _load(args.file)
     run = free_completion(s, stages=args.stages, element_cap=args.elements)
-    final = run.final
-    prov = _completion_provenance(final.structure, final.provenance)
-    _emit_structure_out(
-        final.structure,
-        args.emit,
-        f"stage {final.k}: {_counts(final.structure)} (sizes {run.sizes()})",
-        provenance=prov if args.emit == "json" else None,
-    )
+    final = run.final.structure
+    if args.emit == "json":
+        prov = _provenance_text(final, run.final.provenance)
+        sys.stdout.write(_document_text(final, prov))
+    else:
+        sys.stdout.write(emit_structure(final, args.emit))
+    print(f"stage {run.final.k}: {_counts(final)} (sizes {run.sizes()})",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -617,6 +617,8 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
+    if args.instances < 1:
+        raise UsageError("instances must be >= 1")
     bld = StructureBuilder(StructParams(args.m, args.n))
     b0 = bld.add_point("b0")
     cs = [bld.add_line(f"c{j}") for j in range(1, args.n)]

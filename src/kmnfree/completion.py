@@ -5,9 +5,9 @@ deficient line set is an n-set of lines with at most m-2 common points.  One
 completion step adds, simultaneously against the start-of-stage structure,
 one fresh line per deficient point set (incident exactly with it) and one
 fresh point per deficient line set.  Iterating yields the free completion;
-every stage stays K_{m,n}-free.  Steps add their fresh incidences unguarded,
-because no fresh element can lie in a grid (proof at ``complete_step``);
-``LazyCompletion`` spawns through the guarded add.
+every stage stays K_{m,n}-free.  Steps write the fresh adjacency directly,
+unchecked, because no fresh element can lie in a grid (proof at
+``complete_step``); ``LazyCompletion`` spawns through the guarded add.
 
 Also here:
 
@@ -28,8 +28,9 @@ Also here:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
 from .closure import ClosureRun, _checked, _stages_after, _violator, is_i_closed
@@ -72,17 +73,22 @@ class DeficientSets:
         return bool(self.point_sets or self.line_sets)
 
 
-def _deficient(s: IncidenceStructure) -> DeficientSets:
+def _deficient(s: IncidenceStructure, room: float = float("inf")) -> DeficientSets:
+    """The deficient sets; the scan stops once it finds more than ``room``."""
     m, n = s.params.m, s.params.n
     forced = s.forced
-    families = []
-    for elems, k, most in ((s.points, m, n - 2), (s.lines, n, m - 2)):
-        short = []
+    found = ([], [])
+    scans = ((s.points, m, n - 2), (s.lines, n, m - 2))
+    for short, (elems, k, most) in zip(found, scans):
         for sub in colex_combinations(elems, k):
             if len(forced(sub)) <= most:
                 short.append(frozenset(sub))
-        families.append(tuple(short))
-    return DeficientSets(*families)
+                if len(short) > room:
+                    break
+        if len(short) > room:
+            break
+        room -= len(short)
+    return DeficientSets(*map(tuple, found))
 
 
 def deficient_sets(s: IncidenceStructure) -> DeficientSets:
@@ -101,7 +107,7 @@ def complete_step(stage: CompletionStage) -> CompletionStage:
     """One completion step.  Both deficiency families are computed against
     the incoming structure; all fresh elements are added together.
 
-    The fresh incidences are added unguarded, since they cannot complete a
+    The fresh adjacency is written unchecked, since it cannot complete a
     K_{m,n}.  The incoming structure is checked to be free, so a new grid
     would contain a fresh element.  A fresh line meets exactly its spawner
     sigma, an m-set of old points: fresh elements are never incident with
@@ -118,21 +124,27 @@ def complete_step(stage: CompletionStage) -> CompletionStage:
 
 
 def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
-    """``complete_step`` on a free stage whose deficient sets are ``defs``."""
-    b = StructureBuilder.from_structure(stage.structure)
-    prov = dict(stage.provenance)
-    k1 = stage.k + 1
-    for sigma in defs.point_sets:
-        fresh = b.add_line()
-        for q in sorted(sigma):
-            b.add_incidence(q, fresh, guard=False)
-        prov[fresh] = Provenance(fresh, k1, sigma)
-    for tau in defs.line_sets:
-        fresh = b.add_point()
-        for l in sorted(tau):
-            b.add_incidence(fresh, l, guard=False)
-        prov[fresh] = Provenance(fresh, k1, tau)
-    return CompletionStage(b.build(), k1, prov)
+    """``complete_step`` on a free stage whose deficient sets are ``defs``.
+    Fresh elements take their spawners as adjacency and the names
+    ``StructureBuilder`` would give; untouched elements keep their sets."""
+    s, k1 = stage.structure, stage.k + 1
+    spawners = defs.point_sets + defs.line_sets
+    sorts = (Sort.LINE,) * len(defs.point_sets) + (Sort.POINT,) * len(defs.line_sets)
+    names, gained, prov = [], defaultdict(list), dict(stage.provenance)
+    for e, srt, spawner in zip(count(len(s)), sorts, spawners):
+        name = ("l" if srt is Sort.LINE else "p") + str(e)
+        while name in s._by_name:
+            name = "_" + name
+        names.append(name)
+        for q in spawner:
+            gained[q].append(e)
+        prov[e] = Provenance(e, k1, spawner)
+    adj = list(s._adj)
+    for q, new in gained.items():
+        # copied as build() copies: a union leaves a sparser table, slower to scan
+        adj[q] = frozenset({*adj[q], *new})
+    nxt = (s._sorts + sorts, s._names + tuple(names), tuple(adj) + spawners)
+    return CompletionStage(IncidenceStructure(s.params, *nxt), k1, prov)
 
 
 @dataclass(frozen=True)
@@ -166,18 +178,18 @@ def free_completion(
     run = [initial_stage(m0)]
     while len(run) <= stages:
         cur = run[-1]
-        defs = _deficient(cur.structure)
+        room = element_cap - len(cur.structure)
+        defs = _deficient(cur.structure, room)
         if not defs:
             run += [
                 CompletionStage(cur.structure, k, cur.provenance)
                 for k in range(cur.k + 1, stages + 1)
             ]
             break
-        grow = len(defs.point_sets) + len(defs.line_sets)
-        if len(cur.structure) + grow > element_cap:
+        if len(defs.point_sets) + len(defs.line_sets) > room:
             raise BudgetError(
-                f"free completion stage {cur.k + 1} needs "
-                f"{len(cur.structure) + grow} elements, cap is {element_cap}"
+                f"free completion stage {cur.k + 1} needs more than "
+                f"{element_cap} elements"
             )
         run.append(_step(cur, defs))
     return FreeCompletionRun(tuple(run))

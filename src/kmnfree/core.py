@@ -256,12 +256,12 @@ class StructureBuilder:
 
     Incidence adds are guarded: add_incidence refuses (with a witness) any
     incidence that would complete a K_{m,n}, unless guard=False.  Unguarded
-    adds are for completion steps (a fresh element meets only its spawner
-    set, which stays short of a grid; see ``completion.complete_step``),
-    induced substructures and reducts (substructures of free structures are
-    free), extensions, amalgams and pattern candidates (each scans its
-    result with ``is_kmn_free`` once), and document parsing (a document may
-    describe a non-free structure).
+    adds are for induced substructures and reducts (substructures of free
+    structures are free), extensions, amalgams and pattern candidates (each
+    scans its result with ``is_kmn_free`` once), and document parsing (a
+    document may describe a non-free structure).  Completion steps do not
+    use the builder: they write the next stage directly (see
+    ``completion.complete_step``).
     """
 
     def __init__(self, params: StructParams):

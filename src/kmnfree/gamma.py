@@ -573,12 +573,12 @@ def nonfree_completion_probe(
             raise BudgetError(
                 "growth precondition unverified: stage too large to expand"
             )
+        room = element_cap - len(stage.structure)
         if stage.k > 0:
-            defs = _deficient(stage.structure)
+            defs = _deficient(stage.structure, room)
             if not defs:
                 return ProbeResult(False, reason="free completion converged finite")
-        grow = len(defs.point_sets) + len(defs.line_sets)
-        if len(stage.structure) + grow > element_cap:
+        if len(defs.point_sets) + len(defs.line_sets) > room:
             raise BudgetError("growth precondition unverified: element cap hit")
         stage = _step(stage, defs)
         if any(stage.structure.degree(p) >= 7 for p in stage.structure.points):

@@ -73,6 +73,20 @@ def random_free_structure(rng: random.Random, m=2, n=2, max_elements=10,
     return bld.build()
 
 
+def reference_completion_provenance(s, prov):
+    """Reference copy of the provenance dict the CLI built for a completion
+    document before it wrote the records directly: element name -> stage
+    and spawner names."""
+    return {
+        s.name(e): {
+            "stage": rec.stage,
+            "spawner": [s.name(x) for x in sorted(rec.spawner)],
+        }
+        for e, rec in sorted(prov.items())
+        if rec.stage > 0
+    }
+
+
 def random_closed_subset(rng: random.Random, s):
     """The closure of a random subset of s, inside s."""
     elems = sorted(s.elements())

@@ -1,5 +1,6 @@
 """The command-line surface: documents, exit codes, output shapes."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -23,13 +24,14 @@ from kmnfree import (
 )
 from kmnfree.cli import (
     DocumentError,
-    _completion_provenance,
+    _json_text,
+    _provenance_text,
     dispatch,
     fixture_text,
     structure_document,
 )
 
-from conftest import build, quadrangle_structure
+from conftest import build, quadrangle_structure, reference_completion_provenance
 
 
 def run(capsys, *argv):
@@ -150,9 +152,58 @@ def test_document_writer_matches_json_dumps(points, lines, provenance):
 def test_document_writer_matches_json_dumps_on_a_completion():
     run = free_completion(quadrangle_structure(), 5)
     s = run.final.structure
-    prov = _completion_provenance(s, run.final.provenance)
+    prov = reference_completion_provenance(s, run.final.provenance)
     assert len(prov) == 42
     assert emit_structure(s, provenance=prov) == json_dumps_document(s, prov)
+
+
+@pytest.mark.parametrize("m, n, points, lines, stages", [
+    (2, 2, AWKWARD_NAMES[:4], (), 2),
+    (2, 3, ['q"', "b\\s", "\u00e9"], [" ", "\U0001f600"], 2),
+    (2, 2, ["l9", "l10", "p9", "p10"], (), 2),
+    (3, 2, ["p1", "p2", "p3", "p4"], ["l10", "l9"], 1),
+    (2, 2, ["p1", "p2", "p3", "p4"], (), 0),
+])
+def test_completion_document_matches_the_provenance_dict(
+        capsys, tmp_path, m, n, points, lines, stages):
+    # the complete command writes its provenance records directly; the text
+    # must be what the dict of those records gives, as json.dumps writes it
+    seed = build(m, n, points=points, lines=lines)
+    final = free_completion(seed, stages).final
+    s = final.structure
+    prov = reference_completion_provenance(s, final.provenance)
+    assert _provenance_text(s, final.provenance) == _json_text(prov, "  ")
+    assert (prov == {}) == (stages == 0)
+    f = tmp_path / "seed.json"
+    f.write_text(emit_structure(seed))
+    code, text, _ = run(capsys, "complete", str(f), "--stages", str(stages))
+    assert code == 0
+    assert text == json_dumps_document(s, prov)
+
+
+@pytest.mark.parametrize("m, n, stages, digest", [
+    (2, 2, 7, "337ceec796688ce59339ce721a5fb71eb2d7a0e6238299c10e5569f03407888c"),
+    (2, 3, 3, "66ad86697e3fc1eaebf3cd62b2679cfbe0d4b7151565cf461c896b9c64ef8ef8"),
+])
+def test_quadrangle_completion_documents_are_pinned(
+        capsys, tmp_path, m, n, stages, digest):
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(build(m, n, points=("p1", "p2", "p3", "p4"))))
+    code, text, _ = run(capsys, "complete", str(f), "--stages", str(stages))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_completion_dot_output_is_unchanged(capsys, tmp_path):
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(quadrangle_structure()))
+    code, text, _ = run(capsys, "complete", str(f), "--stages", "4",
+                        "--emit", "dot")
+    assert code == 0
+    assert text == emit_structure(
+        free_completion(quadrangle_structure(), 4).final.structure, fmt="dot")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5af3e6924d50ccb655ce67b3d76c4af49cabe91777643611ec8a7536b03446c5")
 
 
 @given(st.data())
@@ -277,6 +328,13 @@ def test_pattern_command(capsys):
     assert doc["status"] == "inconsistent"
 
 
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_pattern_needs_an_instance(capsys, instances):
+    code, doc, err = run_json(capsys, "pattern", "--instances", instances)
+    assert code == 1
+    assert doc == {"error": "instances must be >= 1"}
+
+
 def test_plane_found(capsys):
     code, doc, err = run_json(capsys, "plane", "--order", "2")
     assert code == 0
@@ -391,6 +449,25 @@ def test_budget_error_exits_2(capsys, tmp_path):
                               "--stages", "6", "--elements", "100")
     assert code == 2
     assert doc["status"] == "unknown"
+
+
+def test_complete_with_default_budgets_ends_at_the_element_cap(tmp_path):
+    # stage 8 of the quadrangle needs more than the default 100,000 elements;
+    # the deficiency scan of stage 7 stops once the cap is passed
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(quadrangle_structure()))
+    package_root = str(Path(kmnfree.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-m", "kmnfree", "complete", str(f)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert out.returncode == 2
+    assert json.loads(out.stdout) == {
+        "status": "unknown",
+        "detail": "free completion stage 8 needs more than 100000 elements",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmnfree import (
     BudgetError,
+    FreenessViolationError,
     LazyCompletion,
+    StructParams,
+    StructureBuilder,
     deficient_sets,
     free_completion,
     is_kmn_free,
@@ -21,7 +25,14 @@ from kmnfree import (
     satisfies_complete,
 )
 from kmnfree import completion
-from kmnfree.completion import complete_step, initial_stage
+from kmnfree.completion import (
+    CompletionStage,
+    Provenance,
+    _deficient,
+    _step,
+    complete_step,
+    initial_stage,
+)
 from kmnfree import i_closure, is_i_closed, isomorphic_over, induced
 
 from conftest import build, quadrangle_structure, random_free_structure
@@ -143,9 +154,9 @@ def test_free_completion_scans_each_stage_once(monkeypatch, triangle_points):
     scanned = []
     deficient = completion._deficient
 
-    def counting(s):
+    def counting(s, *room):
         scanned.append(s)
-        return deficient(s)
+        return deficient(s, *room)
 
     monkeypatch.setattr(completion, "_deficient", counting)
     run = free_completion(quadrangle_structure(), stages=5)
@@ -193,6 +204,115 @@ def test_deficient_sets_colex_order(quadrangle):
 def test_budget_error_before_overflow(quadrangle):
     with pytest.raises(BudgetError):
         free_completion(quadrangle, stages=6, element_cap=100)
+    # stage 5 has 46 elements: a cap of 46 holds it, 45 does not
+    assert free_completion(quadrangle, 5, element_cap=46).sizes()[-1] == 46
+    with pytest.raises(BudgetError) as exc:
+        free_completion(quadrangle, 5, element_cap=45)
+    assert str(exc.value) == "free completion stage 5 needs more than 45 elements"
+    # a seed already past the cap fails only if it would grow
+    with pytest.raises(BudgetError):
+        free_completion(quadrangle, 1, element_cap=2)
+    fixpoint = free_completion(build(2, 2, points=("a", "b", "c")), 1).final
+    assert free_completion(fixpoint.structure, 2, element_cap=3).sizes() == [6, 6, 6]
+
+
+def test_deficient_scan_stops_once_past_room():
+    s = build(2, 2, points=("a", "b", "c", "d"), lines=("x", "y", "z"))
+    full = _deficient(s)
+    sets = full.point_sets + full.line_sets
+    cut = len(full.point_sets)
+    assert (cut, len(sets)) == (6, 9)
+    for room in (-2, -1, 0, 1, cut - 1, cut, cut + 1, len(sets) - 1):
+        got = _deficient(s, room)
+        assert got.point_sets + got.line_sets == sets[:max(room, 0) + 1]
+    for room in (len(sets), len(sets) + 5):
+        assert _deficient(s, room) == full
+
+
+# ---------------------------------------------------------------------------
+# the direct stage step against the builder-based step it replaced
+
+
+def builder_step(stage, defs):
+    """Reference copy of the completion step as it was written through
+    ``StructureBuilder``: copy the stage, add each fresh element and its
+    incidences unguarded, build."""
+    b = StructureBuilder.from_structure(stage.structure)
+    prov = dict(stage.provenance)
+    k1 = stage.k + 1
+    for sigma in defs.point_sets:
+        fresh = b.add_line()
+        for q in sorted(sigma):
+            b.add_incidence(q, fresh, guard=False)
+        prov[fresh] = Provenance(fresh, k1, sigma)
+    for tau in defs.line_sets:
+        fresh = b.add_point()
+        for l in sorted(tau):
+            b.add_incidence(fresh, l, guard=False)
+        prov[fresh] = Provenance(fresh, k1, tau)
+    return CompletionStage(b.build(), k1, prov)
+
+
+def check_steps(seed, stages, cap=3000):
+    """Step ``seed`` with ``_step`` and with ``builder_step`` and compare
+    each stage; ``free_completion`` must give the same stages."""
+    try:
+        run = free_completion(seed, stages, element_cap=cap)
+    except BudgetError:
+        run = None
+    cur = initial_stage(seed)
+    for k in range(stages):
+        defs = _deficient(cur.structure)
+        if not defs or len(cur.structure) + len(defs.point_sets + defs.line_sets) > cap:
+            break
+        nxt, want = _step(cur, defs), builder_step(cur, defs)
+        assert nxt.k == want.k == k + 1
+        assert nxt.structure == want.structure
+        assert nxt.provenance == want.provenance
+        old, new = cur.structure, nxt.structure
+        touched = frozenset().union(*defs.point_sets, *defs.line_sets)
+        for e in old.elements():
+            if e not in touched:
+                assert new.neighbors(e) is old.neighbors(e)
+        if run is not None:
+            assert run.stages[k + 1].structure == new
+            assert run.stages[k + 1].provenance == nxt.provenance
+        cur = nxt
+
+
+NAME_POOL = [pre + str(i) for pre in ("p", "l", "_p", "_l", "__l") for i in range(16)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_direct_step_matches_builder_step(data):
+    m, n = data.draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
+    names = data.draw(st.lists(st.sampled_from(NAME_POOL + ['q"', "\u00e9"]),
+                               unique=True, min_size=1, max_size=7))
+    is_point = data.draw(st.lists(st.booleans(), min_size=len(names),
+                                  max_size=len(names)))
+    bld = StructureBuilder(StructParams(m, n))
+    ids = [bld.add_point(nm) if p else bld.add_line(nm)
+           for nm, p in zip(names, is_point)]
+    pts = [e for e, p in zip(ids, is_point) if p]
+    lns = [e for e, p in zip(ids, is_point) if not p]
+    if pts and lns:
+        pairs = st.tuples(st.sampled_from(pts), st.sampled_from(lns))
+        for p, l in data.draw(st.lists(pairs, max_size=12)):
+            try:
+                bld.add_incidence(p, l)
+            except FreenessViolationError:
+                pass
+    check_steps(bld.build(), data.draw(st.integers(0, 3)))
+
+
+def test_fresh_names_step_past_taken_ones():
+    # fresh ids 4..9 are lines: l4 and _l4 are taken, so the first is __l4
+    seed = build(2, 2, points=("l4", "_l4", "p5", "l5"))
+    stage = free_completion(seed, 1).final.structure
+    assert [stage.name(e) for e in range(4, 10)] == [
+        "__l4", "_l5", "l6", "l7", "l8", "l9"]
+    check_steps(seed, 3)
 
 
 # ---------------------------------------------------------------------------
