@@ -45,15 +45,12 @@ from .amalgam import (
 from .closure import closure_stages
 from .completion import (
     BudgetError,
-    LazyCompletion,
     free_completion,
     relative_free_completion,
 )
 from .core import (
     IncidenceStructure,
     ParameterError,
-    PreconditionError,
-    SortError,
     StructParams,
     StructureBuilder,
     is_kmn_free,
@@ -183,40 +180,12 @@ def _dumps(obj: dict) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, (int, float)):
-        return _quote(json.dumps(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-    )
-
-
 def _json_array(items: List[str], pad: str) -> str:
     """A JSON array of already encoded ``items``, laid out at indent ``pad``."""
     if not items:
         return "[]"
     inner = "\n" + pad + "  "
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
-def _json_text(value, pad: str) -> str:
-    """``value`` as ``_dumps`` lays it out at indent ``pad``."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [_json_key(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(value.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        return _json_array([_json_text(v, pad + "  ") for v in value], pad)
-    if type(value) is int:
-        return repr(value)
-    return json.dumps(value)
 
 
 def _document_text(s: IncidenceStructure, provenance: Optional[str]) -> str:
@@ -254,10 +223,15 @@ def emit_structure(
     DOT draws points as ellipses and lines as boxes, one undirected edge
     per incidence; provenance is JSON-only.  JSON is written directly
     rather than by ``json.dumps``, whose indented output runs the slow
-    pure-Python encoder; the text is the same byte for byte.
+    pure-Python encoder; the text is the same byte for byte.  Only a
+    ``provenance`` dict goes through ``json.dumps``.
     """
     if fmt == "json":
-        prov = None if provenance is None else _json_text(provenance, "  ")
+        prov = None
+        if provenance is not None:
+            # JSON escapes newlines inside strings, so indenting each line
+            # break by two writes the value at the document's indent
+            prov = _dumps(provenance)[:-1].replace("\n", "\n  ")
         return _document_text(s, prov)
     if fmt != "dot":
         raise ParameterError(f"unknown format: {fmt}")
@@ -277,7 +251,8 @@ def emit_structure(
 
 
 def _provenance_text(s: IncidenceStructure, prov: dict) -> str:
-    """The completion provenance as ``_json_text`` writes it, record by record."""
+    """The completion provenance, record by record, as ``emit_structure``
+    writes the equivalent dict."""
     q, sep = [_quote(nm) for nm in s._names], ",\n        "
     records = [
         f'{q[rec.element]}: {{\n      "spawner": [\n        '
@@ -629,10 +604,9 @@ def _cmd_pattern(args) -> int:
     )
     pat = tp2_pattern(args.m, args.n)
     instances = [t + tuple(sorted(seq.c_ids)) for t in seq.tuples]
-    stage_budget = 1 if args.stages is None else args.stages
     v = pattern_consistent(
         seq.ambient, pat, instances,
-        stage_budget=stage_budget,
+        stage_budget=args.stages,
         candidate_budget=args.nodes,
         element_cap=args.elements,
     )
@@ -839,7 +813,7 @@ _HANDLERS = {
 }
 
 # commands whose natural budgets differ from the global defaults
-_STAGE_DEFAULTS = {"pattern": None}
+_STAGE_DEFAULTS = {"pattern": 1}
 _ELEMENT_DEFAULTS = {"embed": 200}
 
 

@@ -31,7 +31,7 @@ Contents:
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .core import (
     BudgetError,
@@ -149,19 +149,32 @@ def h_eval(work: LazyCompletion, x: int, y: int) -> int:
 
 
 def h_term_eval(work: LazyCompletion, term: HTerm, assignment: Sequence[int]) -> int:
-    """Evaluate ``term`` under ``assignment``, recursively via h_eval."""
-    if term.is_leaf:
-        if not 0 <= term.var < len(assignment):
-            raise ParameterError(
-                f"term variable x{term.var + 1} exceeds assignment arity "
-                f"{len(assignment)}"
-            )
-        return assignment[term.var]
-    return h_eval(
-        work,
-        h_term_eval(work, term.left, assignment),
-        h_term_eval(work, term.right, assignment),
-    )
+    """Evaluate ``term`` under ``assignment`` via h_eval, left child first.
+
+    The family's terms share sub-terms, which a tree walk would redo at
+    every level: an explicit stack evaluates each once, memoised by ``id``
+    (an HTerm's hash walks its tree).  A repeated h_eval would spawn nothing.
+    """
+    values: Dict[int, int] = {}
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        if id(t) in values:
+            stack.pop()
+        elif t.is_leaf:
+            if not 0 <= t.var < len(assignment):
+                raise ParameterError(
+                    f"term variable x{t.var + 1} exceeds assignment arity "
+                    f"{len(assignment)}"
+                )
+            values[id(t)] = assignment[t.var]
+        elif id(t.left) not in values:
+            stack.append(t.left)
+        elif id(t.right) not in values:
+            stack.append(t.right)
+        else:
+            values[id(t)] = h_eval(work, values[id(t.left)], values[id(t.right)])
+    return values[id(term)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +185,8 @@ BitString = Union[str, Sequence[int]]
 
 
 def _parse_bits(eta: BitString) -> Tuple[int, ...]:
-    if isinstance(eta, str):
-        raw: Iterable = eta
-    else:
-        raw = eta
     bits = []
-    for ch in raw:
+    for ch in eta:
         b = int(ch)
         if b not in (0, 1):
             raise ParameterError(f"bit string may only contain 0 and 1, got {ch!r}")
@@ -492,14 +501,16 @@ def fano_plane() -> IncidenceStructure:
 class ProbeCertificate:
     """Evidence that the probe's completion is not the free one.
 
-    On the probe side every pair from the c-triple connects through the
-    one added line; on the free side the three pairs get three distinct
-    connecting lines.  ``shared_line`` is an id in the probe structure;
-    ``free_lines`` are ids in ``free_side``, the free workspace snapshot
-    after those connections, size-matched to the probe structure plus
-    its own connection round (which adds nothing).  ``iso_over_seed``
-    records the failed isomorphism search over the seed elements, which
-    keep their ids in both structures.
+    What it shows: on the probe side every pair of the c-triple connects
+    through the one added line t (``shared_line``, an id in the probe
+    structure); on the free side the three pairs get three distinct
+    connecting lines (``free_lines``, ids in ``free_side``, the free
+    workspace over stage J after the forced construction without t and
+    those three connections).  The two sides are not size-matched: the
+    free side has two more lines (56 elements against 54 for the
+    quadrangle), so the isomorphism search over the seed elements, which
+    keep their ids in both structures, fails on element counts alone;
+    ``iso_over_seed`` records its result.
     """
 
     shared_line: int

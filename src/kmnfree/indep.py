@@ -1,21 +1,30 @@
 """Checkers for the combinatorial independence relations.
 
-All queries are evaluated under canonical-completion semantics: the finite
-ambient structure is identified with its image in the (generally infinite)
-completion, and closures of the query sets are computed there by targeted
-spawning (completion.LazyCompletion).  Verdicts are three-valued: a closure
-that fails to converge within budget yields UNKNOWN rather than a guess.
+``check`` is the one checker.  It decides a query under canonical-completion
+semantics: the finite ambient is identified with its image in the (generally
+infinite) completion, and closures are computed there by targeted spawning,
+in one ``completion.LazyCompletion``.  A closure that does not converge
+within budget yields UNKNOWN rather than a guess.
 
-Relations:
+With cl the closure and C the base:
 
-* ALG: the closures of the two sides over the base meet only in the closure
-  of the base.
-* I: ALG, plus no incidence joins the two closures outside the base closure.
-* DIV: I over every closed intermediate base D with C <= D <= closure(BC);
-  dependence reports the least failing D.
-* OTIMES: I, plus the stage-k closure of A union B union C is isomorphic over
-  it to the stage-k free completion of the union of the two side closures
-  (stage-qualified; the stage is reported).
+* ALG: cl(AC) and cl(BC) meet only inside cl(C).
+* I: ALG, and no incidence joins cl(AC) - cl(C) to cl(BC) - cl(C).
+* DIV: I over every closed D with C <= D <= cl(BC); dependence reports the
+  least failing D (by size, then elements).
+* OTIMES: I, plus the stage-k closure of ABC is isomorphic over it to the
+  stage-k free completion of cl(AC) | cl(BC) (the stage is reported).
+
+ALG, I and OTIMES share one run each of the closures of C, AC and BC.  DIV
+runs cl(BC), then one closure per closed base D, of AD, since the runs of D
+and BD that an I check over D needs are known.  cl(BC) has converged, so
+closure steps inside it spawn nothing and never leave it (nor do the
+closedness checks of the bases).  D is closed, so its run is (D,),
+converged: BC converged, so the stage budget is at least 1.  And
+BC <= BD <= cl(BC): a closure step is monotone, so stage t of BD contains
+stage t of BC and lies in cl(BC), and BD reaches cl(BC) no later than BC
+did, spawning nothing.  So the spawns, in order, and every witness and
+detail are those of I checks over each D that ran all three closures.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .amalgam import free_amalgam
+from .closure import ClosureRun
 from .completion import LazyCompletion, free_completion
 from .core import (
     BudgetError,
@@ -87,56 +97,40 @@ def _unconverged(runs) -> Optional[str]:
     return None
 
 
-def _alg(q: IndepQuery, work: LazyCompletion):
-    """The closure runs of C, AC and BC in the shared ``work``, and the ALG
-    verdict on them."""
-    runs = tuple(work.closure(s, q.stage_budget) for s in (q.c, q.a | q.c, q.b | q.c))
+def _verdict(work: LazyCompletion, runs, incidences: bool) -> Verdict:
+    """The ALG verdict on the closure runs of the base, the A side and the B
+    side, in that order; with ``incidences``, the I verdict: ALG, and no
+    incidence joins the two side closures outside the base closure."""
     stuck = _unconverged(zip(("C", "AC", "BC"), runs))
     if stuck:
-        return runs, Verdict(Status.UNKNOWN, None, stuck)
-    rc, ra, rb = runs
-    overlap = (ra.closure_set & rb.closure_set) - rc.closure_set
+        return Verdict(Status.UNKNOWN, None, stuck)
+    base, left, right = (run.closure_set for run in runs)
+    overlap = (left & right) - base
     if overlap:
         w = min(overlap)
-        return runs, Verdict(
+        return Verdict(
             Status.DEPENDENT, w, f"element {work.name(w)!r} lies in both closures"
         )
-    return runs, Verdict(Status.INDEPENDENT)
+    if incidences:
+        right = right - base
+        for x in sorted(left - base):
+            hit = work.neighbors(x) & right
+            if hit:
+                y = min(hit)
+                # report the incidence in document order: point first
+                p, l = (x, y) if work.sort(x) is Sort.POINT else (y, x)
+                return Verdict(
+                    Status.DEPENDENT,
+                    (p, l),
+                    f"incidence between {work.name(p)!r} and {work.name(l)!r} "
+                    "joins the two closures",
+                )
+    return Verdict(Status.INDEPENDENT)
 
 
-def _i(q: IndepQuery, work: LazyCompletion):
-    """``_alg``'s runs and the I verdict: ALG, and no incidence joins the two
-    closures outside the base closure."""
-    runs, v = _alg(q, work)
-    if v.status is not Status.INDEPENDENT:
-        return runs, v
-    rc, ra, rb = runs
-    right = rb.closure_set - rc.closure_set
-    for x in sorted(ra.closure_set - rc.closure_set):
-        hit = work.neighbors(x) & right
-        if hit:
-            y = min(hit)
-            # report the incidence in document order: point first
-            p, l = (x, y) if work.sort(x) is Sort.POINT else (y, x)
-            return runs, Verdict(
-                Status.DEPENDENT,
-                (p, l),
-                f"incidence between {work.name(p)!r} and {work.name(l)!r} "
-                "joins the two closures",
-            )
-    return runs, v
-
-
-def a_indep(q: IndepQuery, work: Optional[LazyCompletion] = None) -> Verdict:
-    return _alg(q, work or LazyCompletion(q.ambient, q.element_cap))[1]
-
-
-def i_indep(q: IndepQuery, work: Optional[LazyCompletion] = None) -> Verdict:
-    return _i(q, work or LazyCompletion(q.ambient, q.element_cap))[1]
-
-
-def d_indep(q: IndepQuery) -> Verdict:
-    work = LazyCompletion(q.ambient, q.element_cap)
+def _div(q: IndepQuery, work: LazyCompletion) -> Verdict:
+    """DIV in ``work``: one closure of BC, then one of AD per closed base D
+    (the module docstring shows that an I check over D needs no more)."""
     rbc = work.closure(q.b | q.c, q.stage_budget)
     stuck = _unconverged((("BC", rbc),))
     if stuck:
@@ -149,26 +143,14 @@ def d_indep(q: IndepQuery) -> Verdict:
             f"closure of BC exceeds the enumeration bound "
             f"({len(free_part)} > {q.d_bound} elements over C)",
         )
-    ds = []
-    for r in range(len(free_part) + 1):
-        for extra in itertools.combinations(free_part, r):
-            d = frozenset(q.c) | frozenset(extra)
-            closed, _ = work.is_monster_closed(d)
-            if closed:
-                ds.append(d)
-    ds.sort(key=lambda d: (len(d), sorted(d)))
-    ambient_now = work.snapshot()
+    c = frozenset(q.c)
+    bases = (c.union(extra) for r in range(len(free_part) + 1)
+             for extra in itertools.combinations(free_part, r))
+    ds = sorted((d for d in bases if work.is_monster_closed(d)[0]),
+                key=lambda d: (len(d), sorted(d)))
     for d in ds:
-        sub = IndepQuery(
-            ambient=ambient_now,
-            a=q.a,
-            b=q.b,
-            c=d,
-            relation=Relation.I,
-            stage_budget=q.stage_budget,
-            element_cap=q.element_cap,
-        )
-        v = i_indep(sub, work)
+        runs = (ClosureRun((d,), True), work.closure(q.a | d, q.stage_budget), rbc)
+        v = _verdict(work, runs, incidences=True)
         if v.status is Status.UNKNOWN:
             return Verdict(
                 Status.UNKNOWN, None, f"sub-query over D={sorted(d)}: {v.detail}"
@@ -183,17 +165,16 @@ def d_indep(q: IndepQuery) -> Verdict:
     return Verdict(Status.INDEPENDENT)
 
 
-def otimes_check(q: IndepQuery) -> Verdict:
-    work = LazyCompletion(q.ambient, q.element_cap)
-    (_, ra, rb), base_verdict = _i(q, work)
-    if base_verdict.status is not Status.INDEPENDENT:
-        return base_verdict
+def _otimes(q: IndepQuery, work: LazyCompletion, runs) -> Verdict:
+    """OTIMES in ``work``, given the I-independent closure ``runs`` of C, AC
+    and BC there."""
+    _, ra, rb = runs
     k = q.stage_budget
 
     run = work.closure(q.a | q.b | q.c, k)
     if run.capped:
         return Verdict(Status.UNKNOWN, None, "joint closure hit the element cap")
-    joint_stage = run.stages[min(k, len(run.stages) - 1)]
+    joint_stage = run.closure_set  # stage k, or the fixpoint if sooner
 
     union_set = ra.closure_set | rb.closure_set
     if not union_set <= joint_stage:
@@ -205,15 +186,13 @@ def otimes_check(q: IndepQuery) -> Verdict:
         )
     union_struct, union_map = induced(work.snapshot(), union_set)
     try:
-        frun = free_completion(union_struct, k, q.element_cap)
+        fk = free_completion(union_struct, k, q.element_cap).final.structure
     except BudgetError:
         return Verdict(Status.UNKNOWN, None, "free completion hit the element cap")
-    fk = frun.final.structure
 
     joint_struct, joint_map = induced(work.snapshot(), joint_stage)
     base = {union_map[e]: joint_map[e] for e in union_set}
-    iso = isomorphic_over(fk, joint_struct, base)
-    if iso:
+    if isomorphic_over(fk, joint_struct, base):
         return Verdict(
             Status.INDEPENDENT,
             None,
@@ -230,13 +209,15 @@ def otimes_check(q: IndepQuery) -> Verdict:
 
 
 def check(q: IndepQuery) -> Verdict:
-    if q.relation is Relation.ALG:
-        return a_indep(q)
-    if q.relation is Relation.I:
-        return i_indep(q)
+    """Decide ``q`` in one fresh canonical-completion workspace."""
+    work = LazyCompletion(q.ambient, q.element_cap)
     if q.relation is Relation.DIV:
-        return d_indep(q)
-    return otimes_check(q)
+        return _div(q, work)
+    runs = tuple(work.closure(s, q.stage_budget) for s in (q.c, q.a | q.c, q.b | q.c))
+    v = _verdict(work, runs, incidences=q.relation is not Relation.ALG)
+    if q.relation is Relation.OTIMES and v:
+        return _otimes(q, work, runs)
+    return v
 
 
 @dataclass(frozen=True)
@@ -292,16 +273,8 @@ def indep_sequence(
 
     for i in range(1, len(tuples)):
         before = frozenset(e for t in tuples[:i] for e in t)
-        q = IndepQuery(
-            ambient=current,
-            a=frozenset(tuples[i]),
-            b=before,
-            c=c_ids,
-            relation=relation,
-            stage_budget=stage_budget,
-            element_cap=element_cap,
-        )
-        v = check(q)
+        v = check(IndepQuery(current, frozenset(tuples[i]), before, c_ids, relation,
+                             stage_budget=stage_budget, element_cap=element_cap))
         if v.status is Status.UNKNOWN:
             raise BudgetError(f"post-hoc verification undecided: {v.detail}")
         if v.status is Status.DEPENDENT:

@@ -24,7 +24,6 @@ from kmnfree import (
 )
 from kmnfree.cli import (
     DocumentError,
-    _json_text,
     _provenance_text,
     dispatch,
     fixture_text,
@@ -172,7 +171,8 @@ def test_completion_document_matches_the_provenance_dict(
     final = free_completion(seed, stages).final
     s = final.structure
     prov = reference_completion_provenance(s, final.provenance)
-    assert _provenance_text(s, final.provenance) == _json_text(prov, "  ")
+    assert _provenance_text(s, final.provenance) == json.dumps(
+        prov, indent=2, sort_keys=True).replace("\n", "\n  ")
     assert (prov == {}) == (stages == 0)
     f = tmp_path / "seed.json"
     f.write_text(emit_structure(seed))

@@ -21,6 +21,7 @@ from kmnfree import (
     Sort,
     Status,
     Ternary,
+    check,
     closure_stages,
     fano_plane,
     free_completion,
@@ -29,7 +30,6 @@ from kmnfree import (
     is_i_closed,
     satisfies_complete,
 )
-from kmnfree import indep
 from kmnfree.completion import _deficient
 from kmnfree.core import colex_combinations
 
@@ -285,7 +285,7 @@ def test_otimes_check_runs_four_lazy_closures(monkeypatch):
         return closure(self, seed, stage_budget)
 
     monkeypatch.setattr(LazyCompletion, "closure", counted)
-    v = indep.otimes_check(quad_query(Relation.OTIMES, stage_budget=3))
+    v = check(quad_query(Relation.OTIMES, stage_budget=3))
     assert v.status is Status.INDEPENDENT
     # C, AC, BC, then the joint closure ABC
     assert calls == [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
@@ -311,8 +311,8 @@ def test_d_indep_closedness_checks_spawn_nothing(monkeypatch):
         s = random_free_structure(rng, m, n, max_elements=8)
         pool = s.elements()
         a, b, c = (subset(rng, pool, 2) for _ in range(3))
-        v = indep.d_indep(IndepQuery(s, a, b, c, Relation.DIV, stage_budget=4,
-                                     element_cap=3000))
+        v = check(IndepQuery(s, a, b, c, Relation.DIV, stage_budget=4,
+                             element_cap=3000))
         verdicts.add(v.status)
     assert len(checked) > 100
     assert {Status.INDEPENDENT, Status.DEPENDENT} <= verdicts
@@ -348,4 +348,4 @@ def test_lazy_closure_rejects_a_negative_stage_budget(work):
     with pytest.raises(ParameterError):
         work.closure({0, 1}, stage_budget=-1)
     with pytest.raises(ParameterError):
-        indep.check(quad_query(Relation.I, stage_budget=-1))
+        check(quad_query(Relation.I, stage_budget=-1))

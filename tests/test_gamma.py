@@ -1,10 +1,19 @@
 """The branching family, the H operation, witness configs, and the probe."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import kmnfree
 
 from kmnfree import (
+    BudgetError,
     HTerm,
     LazyCompletion,
     ParameterError,
@@ -203,6 +212,63 @@ def test_h_terms():
     assert got == l01
     with pytest.raises(ParameterError):
         h_term_eval(wq, t, (0, 1))
+
+
+def ref_h_term_eval(work, term, assignment):
+    """Reference copy of the recursive evaluator, one h_eval per tree node."""
+    if term.is_leaf:
+        if not 0 <= term.var < len(assignment):
+            raise ParameterError("term variable exceeds assignment arity")
+        return assignment[term.var]
+    return h_eval(work, ref_h_term_eval(work, term.left, assignment),
+                  ref_h_term_eval(work, term.right, assignment))
+
+
+def random_shared_term(rng):
+    """A term whose sub-terms are shared: each node joins two earlier ones.
+    A leaf may name x5, past the four-point assignment."""
+    nodes = [HTerm.leaf(i) for i in range(4)]
+    if rng.random() < 0.1:
+        nodes.append(HTerm.leaf(4))
+    for _ in range(rng.randint(1, 12)):
+        nodes.append(HTerm.h(rng.choice(nodes), rng.choice(nodes)))
+    return nodes[-1]
+
+
+def outcome(evaluate, term, cap):
+    work = LazyCompletion(quadrangle_structure(), cap)
+    try:
+        value = evaluate(work, term, (0, 1, 2, 3))
+    except (ParameterError, BudgetError) as e:
+        value = type(e)
+    return value, work.snapshot(), work.provenance
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_term_eval_matches_the_recursive_evaluator(seed):
+    # same value (or error), and the same spawns in the same order
+    rng = random.Random(seed)
+    term = random_shared_term(rng)
+    cap = rng.choice([6, 12, 10_000])
+    assert outcome(h_term_eval, term, cap) == outcome(ref_h_term_eval, term, cap)
+
+
+def test_separate_on_600_bits_exits_cleanly(tmp_path):
+    # the family's terms share sub-terms 1,200 levels deep: evaluated once
+    # each and without recursion, so this ends in seconds, with no
+    # RecursionError
+    package_root = str(Path(kmnfree.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    eta = "01" * 300
+    out = subprocess.run(
+        [sys.executable, "-m", "kmnfree", "separate", "--eta", eta],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    assert '"separates": true' in out.stdout
 
 
 def test_term_provenance_recovers_everything():

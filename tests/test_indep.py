@@ -1,10 +1,16 @@
 """The four independence checkers and the independent-sequence builder."""
 
+import itertools
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmnfree import (
     BudgetError,
     IndepQuery,
+    LazyCompletion,
     ParameterError,
     Relation,
     Status,
@@ -13,8 +19,10 @@ from kmnfree import (
     indep_sequence,
     isomorphic_over,
 )
+from kmnfree import indep
+from kmnfree.core import Sort
 
-from conftest import build, quadrangle_structure
+from conftest import build, quadrangle_structure, random_free_structure
 
 
 def q(ambient, a, b, c, rel, **kw):
@@ -219,3 +227,201 @@ def test_sequence_validation(quadrangle):
                        relation=Relation.DIV)
     with pytest.raises(BudgetError):
         indep_sequence(quadrangle, (0, 1), frozenset(), 2, stage_budget=0)
+
+
+# ---------------------------------------------------------------------------
+# the one checker against reference copies of the former checkers, which
+# ran the three closures of an I check over every DIV base in a snapshot
+
+
+def ref_unconverged(runs):
+    for label, run in runs:
+        if not run.converged:
+            why = "element cap" if run.capped else "stage budget"
+            return f"closure of {label} did not converge ({why})"
+    return None
+
+
+def ref_alg(q, work):
+    runs = tuple(work.closure(s, q.stage_budget) for s in (q.c, q.a | q.c, q.b | q.c))
+    stuck = ref_unconverged(zip(("C", "AC", "BC"), runs))
+    if stuck:
+        return runs, indep.Verdict(Status.UNKNOWN, None, stuck)
+    rc, ra, rb = runs
+    overlap = (ra.closure_set & rb.closure_set) - rc.closure_set
+    if overlap:
+        w = min(overlap)
+        return runs, indep.Verdict(
+            Status.DEPENDENT, w, f"element {work.name(w)!r} lies in both closures")
+    return runs, indep.Verdict(Status.INDEPENDENT)
+
+
+def ref_i(q, work):
+    runs, v = ref_alg(q, work)
+    if v.status is not Status.INDEPENDENT:
+        return runs, v
+    rc, ra, rb = runs
+    right = rb.closure_set - rc.closure_set
+    for x in sorted(ra.closure_set - rc.closure_set):
+        hit = work.neighbors(x) & right
+        if hit:
+            y = min(hit)
+            p, l = (x, y) if work.sort(x) is Sort.POINT else (y, x)
+            return runs, indep.Verdict(
+                Status.DEPENDENT, (p, l),
+                f"incidence between {work.name(p)!r} and {work.name(l)!r} "
+                "joins the two closures")
+    return runs, v
+
+
+def ref_d(q, work):
+    rbc = work.closure(q.b | q.c, q.stage_budget)
+    stuck = ref_unconverged((("BC", rbc),))
+    if stuck:
+        return indep.Verdict(Status.UNKNOWN, None, stuck)
+    free_part = sorted(rbc.closure_set - q.c)
+    if len(free_part) > q.d_bound:
+        return indep.Verdict(
+            Status.UNKNOWN, None,
+            f"closure of BC exceeds the enumeration bound "
+            f"({len(free_part)} > {q.d_bound} elements over C)")
+    ds = []
+    for r in range(len(free_part) + 1):
+        for extra in itertools.combinations(free_part, r):
+            d = frozenset(q.c) | frozenset(extra)
+            if work.is_monster_closed(d)[0]:
+                ds.append(d)
+    ds.sort(key=lambda d: (len(d), sorted(d)))
+    ambient_now = work.snapshot()
+    for d in ds:
+        sub = IndepQuery(ambient_now, q.a, q.b, d, Relation.I,
+                         stage_budget=q.stage_budget, element_cap=q.element_cap)
+        v = ref_i(sub, work)[1]
+        if v.status is Status.UNKNOWN:
+            return indep.Verdict(
+                Status.UNKNOWN, None, f"sub-query over D={sorted(d)}: {v.detail}")
+        if v.status is Status.DEPENDENT:
+            names = sorted(work.name(e) for e in d)
+            return indep.Verdict(
+                Status.DEPENDENT, (d, v.witness),
+                f"I-dependence over intermediate base D={names}: {v.detail}")
+    return indep.Verdict(Status.INDEPENDENT)
+
+
+def ref_check(q):
+    work = LazyCompletion(q.ambient, q.element_cap)
+    if q.relation is Relation.ALG:
+        return ref_alg(q, work)[1], work
+    if q.relation is Relation.I:
+        return ref_i(q, work)[1], work
+    return ref_d(q, work), work
+
+
+class Recorded(LazyCompletion):
+    """A workspace that remembers itself, so a test can see check's."""
+
+    made = []
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        Recorded.made.append(self)
+
+
+def checked(q):
+    """check(q), and the workspace it left behind."""
+    Recorded.made.clear()
+    with mock.patch.object(indep, "LazyCompletion", Recorded):
+        v = check(q)
+    (work,) = Recorded.made
+    return v, work
+
+
+def random_query(seed):
+    rng = random.Random(seed)
+    m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+    s = random_free_structure(rng, m, n, max_elements=8)
+    pool = sorted(s.elements())
+    a, b, c = (frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+               for _ in range(3))
+    return IndepQuery(
+        s, a, b, c, rng.choice([Relation.ALG, Relation.I, Relation.DIV]),
+        stage_budget=rng.randint(0, 4),
+        element_cap=len(s) + rng.randint(0, 80),
+        d_bound=rng.choice([3, 16]),
+    )
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_check_matches_the_former_checkers(seed):
+    q = random_query(seed)
+    v, work = checked(q)
+    want, ref_work = ref_check(q)
+    assert v == want
+    assert work.snapshot() == ref_work.snapshot()
+    assert work.provenance == ref_work.provenance
+
+
+def test_reference_comparison_reaches_every_outcome():
+    # the random queries above hit each budget and both decided verdicts
+    seen = set()
+    for seed in range(400):
+        q = random_query(seed)
+        v, _ = checked(q)
+        assert v == ref_check(q)[0]
+        kind = v.status.name
+        for cause in ("element cap", "stage budget", "enumeration bound"):
+            if cause in v.detail:
+                kind += " " + cause
+        seen.add((q.relation, kind))
+    for rel in (Relation.ALG, Relation.I, Relation.DIV):
+        for kind in ("INDEPENDENT", "DEPENDENT", "UNKNOWN element cap",
+                     "UNKNOWN stage budget"):
+            assert (rel, kind) in seen, (rel, kind)
+    assert (Relation.DIV, "UNKNOWN enumeration bound") in seen
+
+
+def test_div_runs_one_closure_per_closed_base(monkeypatch):
+    # one closure of BC, then one of AD for each base examined
+    bases = []
+    closures = []
+    closure = LazyCompletion.closure
+    monster = LazyCompletion.is_monster_closed
+
+    def counted(self, seed, stage_budget=8):
+        closures.append(frozenset(seed))
+        return closure(self, seed, stage_budget)
+
+    def closed(self, d):
+        out = monster(self, d)
+        if out[0]:
+            bases.append(frozenset(d))
+        return out
+
+    monkeypatch.setattr(LazyCompletion, "closure", counted)
+    monkeypatch.setattr(LazyCompletion, "is_monster_closed", closed)
+    tried = 0
+    for seed in range(200):
+        q = random_query(seed)
+        if q.relation is not Relation.DIV:
+            continue
+        bases.clear()
+        closures.clear()
+        v = check(q)
+        if "closure of BC" in v.detail:
+            assert closures == [q.b | q.c]
+            continue
+        ordered = sorted(bases, key=lambda d: (len(d), sorted(d)))
+        examined = len(closures) - 1
+        assert closures == [q.b | q.c] + [q.a | d for d in ordered[:examined]]
+        if v.status is Status.INDEPENDENT:
+            assert examined == len(bases)
+        elif v.status is Status.DEPENDENT:
+            assert v.witness[0] == ordered[examined - 1]
+        elif "enumeration bound" in v.detail:
+            assert examined == 0 and not bases
+        else:
+            last = sorted(ordered[examined - 1])
+            assert v.detail.startswith(f"sub-query over D={last}")
+        tried += 1
+    assert tried > 20
