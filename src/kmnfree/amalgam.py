@@ -37,6 +37,7 @@ from .core import (
     PreconditionError,
     Sort,
     StructureBuilder,
+    _primed_name,
     induced,
     is_kmn_free,
 )
@@ -209,13 +210,6 @@ class Amalgam:
     right_map: dict  # right structure id -> amalgam id
 
 
-def _fresh_name(taken: set, want: str) -> str:
-    name = want
-    while name in taken:
-        name += "'"
-    return name
-
-
 def free_amalgam(
     base: IncidenceStructure,
     left: IncidenceStructure,
@@ -238,10 +232,8 @@ def free_amalgam(
 
     b = StructureBuilder(base.params)
     left_map = {}
-    taken = set()
     for e in left.elements():
-        nm = _fresh_name(taken, left.name(e))
-        taken.add(nm)
+        nm = _primed_name(left.name(e), b._ids)
         left_map[e] = b.add_point(nm) if left.is_point(e) else b.add_line(nm)
     right_map = {}
     shared = {right_embedding[a]: left_map[left_embedding[a]] for a in base.elements()}
@@ -249,8 +241,7 @@ def free_amalgam(
         if e in shared:
             right_map[e] = shared[e]
             continue
-        nm = _fresh_name(taken, right.name(e))
-        taken.add(nm)
+        nm = _primed_name(right.name(e), b._ids)
         right_map[e] = b.add_point(nm) if right.is_point(e) else b.add_line(nm)
     for p, l in left.incidences():
         b.add_incidence(left_map[p], left_map[l], guard=False)
@@ -570,6 +561,8 @@ def pattern_consistent(
     refuted partial assignment adds every assignment below it to the count
     at once.
     """
+    if candidate_budget < 0 or element_cap < 0:
+        raise ParameterError("budget must be >= 0")
     dg = pattern.diagram
     if dg.params != base.params:
         raise ParameterError("pattern diagram and base must share parameters")

@@ -30,7 +30,7 @@ output.
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .amalgam import (
     GlueHypothesisError,
@@ -45,6 +45,7 @@ from .amalgam import (
 from .closure import closure_stages
 from .completion import (
     BudgetError,
+    CompletionStage,
     free_completion,
     relative_free_completion,
 )
@@ -121,20 +122,15 @@ def parse_structure(text: str) -> IncidenceStructure:
 
     bld = StructureBuilder(StructParams(doc["m"], doc["n"]))
     sort_of: Dict[str, str] = {}
-    for name in doc["points"]:
-        if not isinstance(name, str):
-            raise DocumentError(f"point name {name!r} is not a string")
-        if name in sort_of:
-            raise DocumentError(f"duplicate name: {name}")
-        bld.add_point(name)
-        sort_of[name] = "point"
-    for name in doc["lines"]:
-        if not isinstance(name, str):
-            raise DocumentError(f"line name {name!r} is not a string")
-        if name in sort_of:
-            raise DocumentError(f"duplicate name: {name}")
-        bld.add_line(name)
-        sort_of[name] = "line"
+    for key, add, sort in (("points", bld.add_point, "point"),
+                           ("lines", bld.add_line, "line")):
+        for name in doc[key]:
+            if not isinstance(name, str):
+                raise DocumentError(f"{sort} name {name!r} is not a string")
+            if name in sort_of:
+                raise DocumentError(f"duplicate name: {name}")
+            add(name)
+            sort_of[name] = sort
     for entry in doc["incidences"]:
         if (
             not isinstance(entry, list)
@@ -250,17 +246,19 @@ def emit_structure(
     return "\n".join(out) + "\n"
 
 
-def _provenance_text(s: IncidenceStructure, prov: dict) -> str:
-    """The completion provenance, record by record, as ``emit_structure``
-    writes the equivalent dict."""
-    q, sep = [_quote(nm) for nm in s._names], ",\n        "
-    records = [
-        f'{q[rec.element]}: {{\n      "spawner": [\n        '
-        f'{sep.join([q[x] for x in sorted(rec.spawner)])}'
-        f'\n      ],\n      "stage": {rec.stage}\n    }}'
-        for _, rec in sorted((s._names[e], rec) for e, rec in prov.items())
-    ]
-    return "{\n    " + ",\n    ".join(records) + "\n  }" if records else "{}"
+def _provenance_text(stage: CompletionStage) -> str:
+    """The provenance of a completion stage, record by record, as
+    ``emit_structure`` writes the equivalent dict of ``stage.provenance``."""
+    names = stage.structure._names
+    q, sep = [_quote(nm) for nm in names], ",\n        "
+    records = sorted(
+        (names[e], f'{q[e]}: {{\n      "spawner": [\n        '
+                   f'{sep.join([q[x] for x in sorted(sp)])}'
+                   f'\n      ],\n      "stage": {k}\n    }}')
+        for k in range(1, stage.k + 1) for e, sp in stage.born(k)
+    )
+    body = ",\n    ".join(text for _, text in records)
+    return "{\n    " + body + "\n  }" if records else "{}"
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,7 @@ def _cmd_complete(args) -> int:
     run = free_completion(s, stages=args.stages, element_cap=args.elements)
     final = run.final.structure
     if args.emit == "json":
-        prov = _provenance_text(final, run.final.provenance)
+        prov = _provenance_text(run.final)
         sys.stdout.write(_document_text(final, prov))
     else:
         sys.stdout.write(emit_structure(final, args.emit))
@@ -692,8 +690,10 @@ def _build_parser() -> _Parser:
     )
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name: str, help_: str, emit: bool = False) -> _Parser:
+    def add(name: str, run: Callable[[argparse.Namespace], int], help_: str,
+            emit: bool = False) -> _Parser:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         p.add_argument("--stages", type=int, default=None,
                        help="stage budget (default 8)")
         p.add_argument("--elements", type=int, default=None,
@@ -711,28 +711,29 @@ def _build_parser() -> _Parser:
                            help="output format for structures")
         return p
 
-    p = add("check", "classify a document: freeness and completeness")
+    p = add("check", _cmd_check, "classify a document: freeness and completeness")
     p.add_argument("file")
 
-    p = add("closure", "closure stages of a subset inside a structure")
+    p = add("closure", _cmd_closure, "closure stages of a subset inside a structure")
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated names")
 
-    p = add("complete", "free completion stages of a structure", emit=True)
+    p = add("complete", _cmd_complete, "free completion stages of a structure",
+            emit=True)
     p.add_argument("file")
 
-    p = add("relcomplete",
+    p = add("relcomplete", _cmd_relcomplete,
             "grow the completion of a subset inside the host's completion")
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated names")
 
-    p = add("amalgamate", "free amalgam of two structures over a base",
+    p = add("amalgamate", _cmd_amalgamate, "free amalgam of two structures over a base",
             emit=True)
     p.add_argument("--base", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = add("extend", "attach a safe-diagram extension over an anchor",
+    p = add("extend", _cmd_extend, "attach a safe-diagram extension over an anchor",
             emit=True)
     p.add_argument("file", help="host structure")
     p.add_argument("--diagram", required=True)
@@ -741,25 +742,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--anchor", required=True,
                    help="host names matched positionally to --base-vars")
 
-    p = add("glue", "two-dimensional independent gluing", emit=True)
+    p = add("glue", _cmd_glue, "two-dimensional independent gluing", emit=True)
     p.add_argument("--d", required=True, help="names of the common base")
     for flag in ("--xa", "--xb", "--xc", "--xab", "--xac", "--xbc"):
         p.add_argument(flag, required=True)
 
-    p = add("gamma", "type-separating family member", emit=True)
+    p = add("gamma", _cmd_gamma, "type-separating family member", emit=True)
     p.add_argument("--eta", default="", help="bit string such as 01")
 
-    p = add("separate", "verify the 0/1 continuations separate")
+    p = add("separate", _cmd_separate, "verify the 0/1 continuations separate")
     p.add_argument("--eta", default="", help="bit string such as 01")
 
-    p = add("bm", "base-monotonicity failure configuration", emit=True)
+    p = add("bm", _cmd_bm, "base-monotonicity failure configuration", emit=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
 
-    p = add("probe", "search for a non-free completion over a structure")
+    p = add("probe", _cmd_probe, "search for a non-free completion over a structure")
     p.add_argument("file")
 
-    p = add("indep", "independence of two sets over a third")
+    p = add("indep", _cmd_indep, "independence of two sets over a third")
     p.add_argument("file")
     p.add_argument("--rel", required=True,
                    choices=tuple(r.value for r in Relation))
@@ -769,48 +770,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--d-bound", type=int, default=16,
                    help="intermediate-set size bound for the d relation")
 
-    p = add("sequence", "pairwise independent copies of a tuple")
+    p = add("sequence", _cmd_sequence, "pairwise independent copies of a tuple")
     p.add_argument("file")
     p.add_argument("--b", required=True, help="comma-separated names")
     p.add_argument("--c", default="", help="comma-separated names")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--rel", default="i", choices=("a", "i"))
 
-    p = add("pattern", "existential-pattern consistency over a sequence")
+    p = add("pattern", _cmd_pattern, "existential-pattern consistency over a sequence")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--instances", type=int, required=True,
                    help="number of pattern instances")
 
-    p = add("plane", "search for a finite projective plane", emit=True)
+    p = add("plane", _cmd_plane, "search for a finite projective plane", emit=True)
     p.add_argument("--order", type=int, required=True)
 
-    p = add("embed", "embed a structure in a finite plane or completion")
+    p = add("embed", _cmd_embed, "embed a structure in a finite plane or completion")
     p.add_argument("file")
     p.add_argument("--order", type=int, default=None,
                    help="target plane order; omit to search completions")
 
     return top
 
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "closure": _cmd_closure,
-    "complete": _cmd_complete,
-    "relcomplete": _cmd_relcomplete,
-    "amalgamate": _cmd_amalgamate,
-    "extend": _cmd_extend,
-    "glue": _cmd_glue,
-    "gamma": _cmd_gamma,
-    "separate": _cmd_separate,
-    "bm": _cmd_bm,
-    "probe": _cmd_probe,
-    "indep": _cmd_indep,
-    "sequence": _cmd_sequence,
-    "pattern": _cmd_pattern,
-    "plane": _cmd_plane,
-    "embed": _cmd_embed,
-}
 
 # commands whose natural budgets differ from the global defaults
 _STAGE_DEFAULTS = {"pattern": 1}
@@ -831,7 +813,7 @@ def dispatch(argv: Sequence[str]) -> int:
         budgets = ("stages", "elements", "nodes", "d_bound")
         if any((getattr(args, b, None) or 0) < 0 for b in budgets):
             raise UsageError("budget must be >= 0")
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except BudgetError as e:
         sys.stdout.write(_dumps({"status": "unknown", "detail": str(e)}))
         print(f"undecided: {e}", file=sys.stderr)

@@ -24,6 +24,14 @@ Also here:
   correspond canonically to free-completion elements via their spawner sets,
   so closures computed against the workspace agree with closures computed in
   the full completion.
+
+Origins are read from the structure, not recorded.  A fresh element is born
+incident with exactly its spawner, whose ids are all older; it gains an
+incidence later only from a later spawn, which has a larger id (fresh
+elements of one stage are never incident with each other).  So the spawner
+of e is the set of its neighbours below e, and in a staged run its stage is
+the k with ``sizes[k-1] <= e < sizes[k]``.  The ``provenance`` views of
+``CompletionStage`` and ``LazyCompletion`` are read by this rule.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .closure import ClosureRun, _checked, _stages_after, _violator, is_i_closed
 from .core import (
@@ -41,6 +49,7 @@ from .core import (
     PreconditionError,
     Sort,
     StructureBuilder,
+    _default_name,
     colex_combinations,
     induced,
     is_kmn_free,
@@ -57,11 +66,33 @@ class Provenance:
     spawner: frozenset
 
 
+def _spawner(adj: Sequence, e: int) -> frozenset:
+    """The spawner of fresh element e: its neighbours below e."""
+    return frozenset(x for x in adj[e] if x < e)
+
+
 @dataclass(frozen=True)
 class CompletionStage:
+    """Stage ``k`` of a free completion; ``sizes`` holds the element counts
+    of stages 0..k (a padded fixpoint stage repeats the last count).  The
+    structure and ``sizes`` are the whole record of origin: ``born`` and
+    ``provenance`` read it by the spawner rule (module docstring)."""
+
     structure: IncidenceStructure
     k: int
-    provenance: dict  # element id -> Provenance, for all fresh elements so far
+    sizes: tuple
+
+    def born(self, k: int) -> Iterator[tuple]:
+        """(e, spawner) for each element created at stage ``k``."""
+        adj = self.structure._adj
+        for e in range(self.sizes[k - 1], self.sizes[k]):
+            yield e, _spawner(adj, e)
+
+    @property
+    def provenance(self) -> dict:
+        """element id -> Provenance, for all fresh elements so far."""
+        return {e: Provenance(e, k, sp)
+                for k in range(1, self.k + 1) for e, sp in self.born(k)}
 
 
 @dataclass(frozen=True)
@@ -100,7 +131,7 @@ def deficient_sets(s: IncidenceStructure) -> DeficientSets:
 
 
 def initial_stage(s: IncidenceStructure) -> CompletionStage:
-    return CompletionStage(s, 0, {})
+    return CompletionStage(s, 0, (len(s),))
 
 
 def complete_step(stage: CompletionStage) -> CompletionStage:
@@ -130,21 +161,18 @@ def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
     s, k1 = stage.structure, stage.k + 1
     spawners = defs.point_sets + defs.line_sets
     sorts = (Sort.LINE,) * len(defs.point_sets) + (Sort.POINT,) * len(defs.line_sets)
-    names, gained, prov = [], defaultdict(list), dict(stage.provenance)
+    names, gained = [], defaultdict(list)
     for e, srt, spawner in zip(count(len(s)), sorts, spawners):
-        name = ("l" if srt is Sort.LINE else "p") + str(e)
-        while name in s._by_name:
-            name = "_" + name
-        names.append(name)
+        names.append(_default_name(srt, e, s._by_name))
         for q in spawner:
             gained[q].append(e)
-        prov[e] = Provenance(e, k1, spawner)
     adj = list(s._adj)
     for q, new in gained.items():
         # copied as build() copies: a union leaves a sparser table, slower to scan
         adj[q] = frozenset({*adj[q], *new})
     nxt = (s._sorts + sorts, s._names + tuple(names), tuple(adj) + spawners)
-    return CompletionStage(IncidenceStructure(s.params, *nxt), k1, prov)
+    sizes = stage.sizes + (len(s) + len(spawners),)
+    return CompletionStage(IncidenceStructure(s.params, *nxt), k1, sizes)
 
 
 @dataclass(frozen=True)
@@ -156,7 +184,7 @@ class FreeCompletionRun:
         return self.stages[-1]
 
     def sizes(self) -> list:
-        return [len(st.structure) for st in self.stages]
+        return list(self.final.sizes)
 
 
 def free_completion(
@@ -181,8 +209,9 @@ def free_completion(
         room = element_cap - len(cur.structure)
         defs = _deficient(cur.structure, room)
         if not defs:
+            last = cur.sizes[-1:]
             run += [
-                CompletionStage(cur.structure, k, cur.provenance)
+                CompletionStage(cur.structure, k, cur.sizes + last * (k - cur.k))
                 for k in range(cur.k + 1, stages + 1)
             ]
             break
@@ -233,16 +262,15 @@ def relative_free_completion(
         )
 
     x_run = free_completion(b_struct, stage_budget, element_cap)
-    by_spawner = {(p.stage, p.spawner): e for e, p in x_run.final.provenance.items()}
-
+    by_spawner = {}  # (stage, spawner) -> element of the ambient completion
     y_stages = [a_set]
-    for k in range(stage_budget):
-        yk = y_stages[-1]
-        fresh = set()
-        for e, p in x_run.stages[k + 1].provenance.items():
-            if p.stage == k + 1 and p.spawner <= yk:
+    for k in range(1, stage_budget + 1):
+        yk, fresh = y_stages[-1], set()
+        for e, sp in x_run.final.born(k):
+            by_spawner[k, sp] = e
+            if sp <= yk:
                 fresh.add(e)
-        y_stages.append(frozenset(yk | fresh))
+        y_stages.append(yk | fresh)
 
     c = y_stages[-1]
 
@@ -259,48 +287,30 @@ def relative_free_completion(
         raise RuntimeError("postcondition failure: C meets B outside A")
 
     final = x_run.final.structure
-    c_minus_a = c - a_set
-    b_minus_a = b_ids - a_set
-    for e in sorted(c_minus_a):
-        if final.neighbors(e) & b_minus_a:
-            raise RuntimeError(
-                "postcondition failure: incidence between C-A and B-A"
-            )
+    if any(final.neighbors(e) & (b_ids - a_set) for e in c - a_set):
+        raise RuntimeError("postcondition failure: incidence between C-A and B-A")
 
     a_struct, remap_a = induced(b_struct, a_set)
     free_a = free_completion(a_struct, stage_budget, element_cap)
     corr = {v: k for k, v in remap_a.items()}
-    for k in range(stage_budget):
-        for e, p in sorted(free_a.stages[k + 1].provenance.items()):
-            if p.stage != k + 1:
-                continue
-            mapped = frozenset(corr[x] for x in p.spawner)
-            target = by_spawner.get((k + 1, mapped))
-            if target is None or target not in y_stages[k + 1]:
+    for k in range(1, stage_budget + 1):
+        for e, sp in free_a.final.born(k):
+            target = by_spawner.get((k, frozenset(corr[x] for x in sp)))
+            if target is None or target not in y_stages[k]:
                 raise RuntimeError(
-                    "postcondition failure: stage correspondence broke at "
-                    f"stage {k + 1}"
+                    f"postcondition failure: stage correspondence broke at stage {k}"
                 )
             corr[e] = target
-        image = {corr[e] for e in free_a.stages[k + 1].structure.elements()}
-        if len(image) != len(y_stages[k + 1]):
+        image = {corr[e] for e in range(free_a.final.sizes[k])}
+        if len(image) != len(y_stages[k]):
             raise RuntimeError(
-                f"postcondition failure: the image of F_{k+1}(A) has "
-                f"{len(image)} elements, Y_{k+1} has {len(y_stages[k + 1])}"
+                f"postcondition failure: the image of F_{k}(A) has "
+                f"{len(image)} elements, Y_{k} has {len(y_stages[k])}"
             )
 
     if not _is_isomorphism(free_a.final.structure, final, c, corr):
-        raise RuntimeError(
-            "postcondition failure: C is not isomorphic over A to F(A)"
-        )
-
-    return RelativeCompletion(
-        x_run=x_run,
-        y_stages=tuple(y_stages),
-        c=c,
-        free_a=free_a,
-        correspondence=corr,
-    )
+        raise RuntimeError("postcondition failure: C is not isomorphic over A to F(A)")
+    return RelativeCompletion(x_run, tuple(y_stages), c, free_a, corr)
 
 
 def _is_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure,
@@ -326,9 +336,11 @@ class LazyCompletion:
     ``forced`` gives an m-set of distinct points its full n-1 common lines
     (spawning the missing ones, each incident exactly with the set), and an
     n-set of distinct lines its m-1 common points.  ``lines_through`` and
-    ``points_on`` are its checked forms.  Spawner provenance identifies
-    spawned elements with the corresponding free-completion elements, so set
+    ``points_on`` are its checked forms.  Spawner sets identify spawned
+    elements with the corresponding free-completion elements, so set
     closures computed here equal closures computed in the full completion.
+    A spawned element's spawner is read by the spawner rule (module
+    docstring): ``provenance`` is that view, with stage -1 throughout.
     """
 
     def __init__(self, base: IncidenceStructure, element_cap: int = 100_000):
@@ -339,7 +351,6 @@ class LazyCompletion:
         self.params = base.params
         self.builder = StructureBuilder.from_structure(base)
         self.element_cap = element_cap
-        self.provenance: dict = {}
         self._snapshot: Optional[IncidenceStructure] = None
 
     def __len__(self) -> int:
@@ -359,22 +370,23 @@ class LazyCompletion:
     def neighbors(self, e: int) -> set:
         return self.builder.neighbors(e)
 
-    def _spawn(self, sort: Sort, spawner: frozenset) -> int:
+    @property
+    def provenance(self) -> dict:
+        """spawned element id -> Provenance, in spawn order."""
+        adj = self.builder._adj
+        return {e: Provenance(e, -1, _spawner(adj, e))
+                for e in range(len(self.base), len(adj))}
+
+    def _spawn(self, sort: Sort, spawner: Sequence[int]) -> int:
         if len(self.builder) + 1 > self.element_cap:
             raise BudgetError(
                 f"canonical completion workspace exceeded {self.element_cap} elements"
             )
         self._snapshot = None
-        if sort is Sort.LINE:
-            fresh = self.builder.add_line()
-        else:
-            fresh = self.builder.add_point()
+        line = sort is Sort.LINE
+        fresh = self.builder.add_line() if line else self.builder.add_point()
         for e in sorted(spawner):
-            if sort is Sort.LINE:
-                self.builder.add_incidence(e, fresh)
-            else:
-                self.builder.add_incidence(fresh, e)
-        self.provenance[fresh] = Provenance(fresh, -1, spawner)
+            self.builder.add_incidence(*((e, fresh) if line else (fresh, e)))
         return fresh
 
     def forced(self, sub: Sequence[int]) -> frozenset:
@@ -393,7 +405,7 @@ class LazyCompletion:
         else:
             sort, want = Sort.POINT, self.params.m - 1
         while len(have) < want:
-            have.add(self._spawn(sort, frozenset(sub)))
+            have.add(self._spawn(sort, sub))
         return frozenset(have)
 
     def _distinct(

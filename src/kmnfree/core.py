@@ -251,6 +251,21 @@ class IncidenceStructure:
         )
 
 
+def _default_name(sort: Sort, e: int, taken) -> str:
+    """``p{e}`` or ``l{e}``, with ``_`` prefixed while it is in ``taken``."""
+    name = ("p" if sort is Sort.POINT else "l") + str(e)
+    while name in taken:
+        name = "_" + name
+    return name
+
+
+def _primed_name(want: str, taken) -> str:
+    """``want`` with ``'`` appended while the name is in ``taken``."""
+    while want in taken:
+        want += "'"
+    return want
+
+
 class StructureBuilder:
     """Mutable builder; ``build()`` snapshots an immutable structure.
 
@@ -301,10 +316,7 @@ class StructureBuilder:
     def _add_element(self, sort: Sort, name: Optional[str]) -> int:
         e = len(self._sorts)
         if name is None:
-            prefix = "p" if sort is Sort.POINT else "l"
-            name = f"{prefix}{e}"
-            while name in self._ids:
-                name = "_" + name
+            name = _default_name(sort, e, self._ids)
         elif name in self._ids:
             raise ParameterError(f"duplicate element name {name!r}")
         self._sorts.append(sort)

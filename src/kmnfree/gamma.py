@@ -40,6 +40,7 @@ from .core import (
     Sort,
     StructParams,
     StructureBuilder,
+    _primed_name,
     common_neighbors,
     induced,
     is_kmn_free,
@@ -533,16 +534,6 @@ class ProbeResult:
         return self.ok
 
 
-def _probe_name(bld: StructureBuilder, base: str) -> str:
-    name = base
-    while True:
-        try:
-            bld.by_name(name)
-        except ValueError:
-            return name
-        name += "'"
-
-
 def nonfree_completion_probe(
     a: IncidenceStructure,
     stage_budget: int = 8,
@@ -654,12 +645,12 @@ def nonfree_completion_probe(
     a23 = meet_point(r[1], r[2])
 
     bld = StructureBuilder.from_structure(s)
-    b_pt = bld.add_point(_probe_name(bld, "b"))
+    b_pt = bld.add_point(_primed_name("b", bld._ids))
     bld.add_incidence(b_pt, r[open_i])
     bld.add_incidence(b_pt, r[6])
     s_lines = {}
     for label, anchor in (("s12", a12), ("s13", a13), ("s23", a23)):
-        l = bld.add_line(_probe_name(bld, label))
+        l = bld.add_line(_primed_name(label, bld._ids))
         bld.add_incidence(anchor, l)
         bld.add_incidence(b_pt, l)
         s_lines[label] = l
@@ -668,11 +659,11 @@ def nonfree_completion_probe(
         ((r[0], s_lines["s23"]), (r[1], s_lines["s13"]), (r[2], s_lines["s12"])),
         start=1,
     ):
-        c = bld.add_point(_probe_name(bld, f"c{i}"))
+        c = bld.add_point(_primed_name(f"c{i}", bld._ids))
         bld.add_incidence(c, ri)
         bld.add_incidence(c, sl)
         c_pts.append(c)
-    t = bld.add_line(_probe_name(bld, "t"))
+    t = bld.add_line(_primed_name("t", bld._ids))
     for c in c_pts:
         bld.add_incidence(c, t)
     b0 = bld.build()

@@ -82,6 +82,8 @@ class IndepQuery:
     d_bound: int = 16  # max |closure(BC) - C| enumerated by DIV
 
     def __post_init__(self):
+        if self.element_cap < 0 or self.d_bound < 0:
+            raise ParameterError("budget must be >= 0")
         elems = self.ambient.elements()
         for label, part in (("A", self.a), ("B", self.b), ("C", self.c)):
             for e in part:

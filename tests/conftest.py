@@ -5,11 +5,13 @@ import random
 import pytest
 
 from kmnfree import (
+    LazyCompletion,
     StructParams,
     StructureBuilder,
     free_completion,
     i_closure,
 )
+from kmnfree.completion import Provenance
 
 
 def build(m, n, points=(), lines=(), incidences=(), guard=True):
@@ -85,6 +87,21 @@ def reference_completion_provenance(s, prov):
         for e, rec in sorted(prov.items())
         if rec.stage > 0
     }
+
+
+class RecordingCompletion(LazyCompletion):
+    """Reference copy of the workspace's former provenance records: each
+    spawn stored ``Provenance(fresh, -1, frozenset(spawner))`` in a dict,
+    kept here as ``recorded`` beside the derived ``provenance`` view."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.recorded = {}
+
+    def _spawn(self, sort, spawner):
+        fresh = super()._spawn(sort, spawner)
+        self.recorded[fresh] = Provenance(fresh, -1, frozenset(spawner))
+        return fresh
 
 
 def random_closed_subset(rng: random.Random, s):

@@ -171,7 +171,7 @@ def test_completion_document_matches_the_provenance_dict(
     final = free_completion(seed, stages).final
     s = final.structure
     prov = reference_completion_provenance(s, final.provenance)
-    assert _provenance_text(s, final.provenance) == json.dumps(
+    assert _provenance_text(final) == json.dumps(
         prov, indent=2, sort_keys=True).replace("\n", "\n  ")
     assert (prov == {}) == (stages == 0)
     f = tmp_path / "seed.json"

@@ -35,7 +35,12 @@ from kmnfree.completion import (
 )
 from kmnfree import i_closure, is_i_closed, isomorphic_over, induced
 
-from conftest import build, quadrangle_structure, random_free_structure
+from conftest import (
+    build,
+    quadrangle_structure,
+    random_closed_subset,
+    random_free_structure,
+)
 from test_core import oracle_has_grid
 
 
@@ -233,12 +238,14 @@ def test_deficient_scan_stops_once_past_room():
 # the direct stage step against the builder-based step it replaced
 
 
-def builder_step(stage, defs):
+def builder_step(stage, prov, defs):
     """Reference copy of the completion step as it was written through
-    ``StructureBuilder``: copy the stage, add each fresh element and its
-    incidences unguarded, build."""
+    ``StructureBuilder``, with the provenance records it kept: copy the
+    stage and its records, add each fresh element and its incidences
+    unguarded, record ``Provenance(fresh, k+1, spawner)``, build.  Returns
+    the next stage and its records."""
     b = StructureBuilder.from_structure(stage.structure)
-    prov = dict(stage.provenance)
+    prov = dict(prov)
     k1 = stage.k + 1
     for sigma in defs.point_sets:
         fresh = b.add_line()
@@ -250,25 +257,40 @@ def builder_step(stage, defs):
         for l in sorted(tau):
             b.add_incidence(fresh, l, guard=False)
         prov[fresh] = Provenance(fresh, k1, tau)
-    return CompletionStage(b.build(), k1, prov)
+    return CompletionStage(b.build(), k1, stage.sizes + (len(b),)), prov
+
+
+def recorded_run(seed, stages):
+    """(structure, provenance records) of stages 0..``stages``, stepped by
+    ``builder_step``; a fixpoint stage is repeated with its records, as
+    the padded stages of a run once shared them."""
+    cur, prov = initial_stage(seed), {}
+    out = [(seed, prov)]
+    while len(out) <= stages:
+        defs = _deficient(cur.structure)
+        if defs:
+            cur, prov = builder_step(cur, prov, defs)
+        out.append((cur.structure, prov))
+    return out
 
 
 def check_steps(seed, stages, cap=3000):
     """Step ``seed`` with ``_step`` and with ``builder_step`` and compare
-    each stage; ``free_completion`` must give the same stages."""
+    each stage and its provenance with the records; ``free_completion``
+    must give the same stages, padded ones included."""
     try:
         run = free_completion(seed, stages, element_cap=cap)
     except BudgetError:
         run = None
-    cur = initial_stage(seed)
+    cur, prov = initial_stage(seed), {}
     for k in range(stages):
         defs = _deficient(cur.structure)
         if not defs or len(cur.structure) + len(defs.point_sets + defs.line_sets) > cap:
             break
-        nxt, want = _step(cur, defs), builder_step(cur, defs)
+        nxt, (want, prov) = _step(cur, defs), builder_step(cur, prov, defs)
         assert nxt.k == want.k == k + 1
         assert nxt.structure == want.structure
-        assert nxt.provenance == want.provenance
+        assert nxt.provenance == prov
         old, new = cur.structure, nxt.structure
         touched = frozenset().union(*defs.point_sets, *defs.line_sets)
         for e in old.elements():
@@ -278,6 +300,22 @@ def check_steps(seed, stages, cap=3000):
             assert run.stages[k + 1].structure == new
             assert run.stages[k + 1].provenance == nxt.provenance
         cur = nxt
+    if run is not None:
+        # a run once counted its sizes stage by stage
+        assert run.sizes() == [len(st.structure) for st in run.stages]
+        for st in run.stages[cur.k:]:
+            assert st.structure == cur.structure
+            assert st.provenance == prov
+            assert list(st.sizes) == run.sizes()[:st.k + 1]
+
+
+def test_padded_stages_keep_the_fixpoint_records(triangle_points):
+    # three points converge after one stage; stages 2..4 repeat it
+    run = free_completion(triangle_points, 4)
+    assert run.sizes() == [3, 6, 6, 6, 6]
+    assert [st.provenance for st in run.stages] == [
+        prov for _, prov in recorded_run(triangle_points, 4)]
+    check_steps(triangle_points, 4)
 
 
 NAME_POOL = [pre + str(i) for pre in ("p", "l", "_p", "_l", "__l") for i in range(16)]
@@ -410,6 +448,44 @@ def _relative_runs():
             yield relative_free_completion(b, a, stage_budget=2, element_cap=400)
         except BudgetError:
             continue
+
+
+def ref_relative(b_struct, a_set, stages):
+    """Reference copy of the record filtering ``relative_free_completion``
+    once did: (y_stages, c, correspondence) from the provenance records of
+    the two runs."""
+    x_run = recorded_run(b_struct, stages)
+    by_spawner = {(p.stage, p.spawner): e for e, p in x_run[-1][1].items()}
+    y_stages = [a_set]
+    for k in range(stages):
+        yk = y_stages[-1]
+        fresh = {e for e, p in x_run[k + 1][1].items()
+                 if p.stage == k + 1 and p.spawner <= yk}
+        y_stages.append(frozenset(yk | fresh))
+    a_struct, remap_a = induced(b_struct, a_set)
+    corr = {v: k for k, v in remap_a.items()}
+    fa_run = recorded_run(a_struct, stages)
+    for k in range(stages):
+        for e, p in sorted(fa_run[k + 1][1].items()):
+            if p.stage == k + 1:
+                mapped = frozenset(corr[x] for x in p.spawner)
+                corr[e] = by_spawner[k + 1, mapped]
+    return tuple(y_stages), y_stages[-1], corr
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_relative_completion_matches_the_record_filtering(seed):
+    rng = random.Random(seed)
+    m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+    b = random_free_structure(rng, m, n, max_elements=7)
+    a = random_closed_subset(rng, b)
+    stages = rng.randint(0, 3)
+    try:
+        rc = relative_free_completion(b, a, stages, element_cap=400)
+    except BudgetError:
+        return
+    assert (rc.y_stages, rc.c, rc.correspondence) == ref_relative(b, a, stages)
 
 
 def test_correspondence_check_agrees_with_isomorphic_over():

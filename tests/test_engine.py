@@ -33,7 +33,7 @@ from kmnfree import (
 from kmnfree.completion import _deficient
 from kmnfree.core import colex_combinations
 
-from conftest import quadrangle_structure, random_free_structure
+from conftest import RecordingCompletion, quadrangle_structure, random_free_structure
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -240,7 +240,7 @@ def test_lazy_closure_matches_reference_loop(seed):
     m, n = rng.choice(PARAMS)
     base = random_free_structure(rng, m, n, max_elements=8)
     cap = rng.choice([len(base) + 3, len(base) + 20, 400])
-    work, ref = LazyCompletion(base, cap), LazyCompletion(base, cap)
+    work, ref = LazyCompletion(base, cap), RecordingCompletion(base, cap)
     # several closures in a row, so later ones meet earlier spawns
     for _ in range(3):
         seed_set = subset(rng, range(len(work)), 5)
@@ -250,7 +250,7 @@ def test_lazy_closure_matches_reference_loop(seed):
             ref, seed_set, budget
         )
         assert work.snapshot() == ref.snapshot()
-        assert work.provenance == ref.provenance
+        assert work.provenance == ref.provenance == ref.recorded
 
 
 @given(seeds)

@@ -37,7 +37,7 @@ from kmnfree import (
 )
 from kmnfree.gamma import GammaStructure
 
-from conftest import build, quadrangle_structure
+from conftest import RecordingCompletion, build, quadrangle_structure
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +236,12 @@ def random_shared_term(rng):
 
 
 def outcome(evaluate, term, cap):
-    work = LazyCompletion(quadrangle_structure(), cap)
+    work = RecordingCompletion(quadrangle_structure(), cap)
     try:
         value = evaluate(work, term, (0, 1, 2, 3))
     except (ParameterError, BudgetError) as e:
         value = type(e)
+    assert work.provenance == work.recorded
     return value, work.snapshot(), work.provenance
 
 

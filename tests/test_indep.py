@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from kmnfree import (
     BudgetError,
+    ExistentialPattern,
     IndepQuery,
     LazyCompletion,
     ParameterError,
@@ -18,11 +19,17 @@ from kmnfree import (
     check,
     indep_sequence,
     isomorphic_over,
+    pattern_consistent,
 )
 from kmnfree import indep
 from kmnfree.core import Sort
 
-from conftest import build, quadrangle_structure, random_free_structure
+from conftest import (
+    RecordingCompletion,
+    build,
+    quadrangle_structure,
+    random_free_structure,
+)
 
 
 def q(ambient, a, b, c, rel, **kw):
@@ -160,6 +167,33 @@ def test_unknown_on_element_cap(quadrangle):
                 element_cap=4))
     assert v.status is Status.UNKNOWN
     assert "element cap" in v.detail
+
+
+def div_check(**budgets):
+    g = bm_witness(2, 2)
+    a = frozenset({g.by_name("a1"), g.by_name("a2")})
+    b = frozenset({g.by_name("b")})
+    return check(IndepQuery(g, a, b, frozenset(), Relation.DIV, **budgets))
+
+
+def pattern_check(**budgets):
+    pat = ExistentialPattern(build(2, 2, points=("y",), lines=("w",)),
+                             (), (0,), (1,))
+    return pattern_consistent(build(2, 2, points=("p",)), pat, [(0,)], **budgets)
+
+
+@pytest.mark.parametrize("run, budgets", [
+    (div_check, {"d_bound": -1}),
+    (div_check, {"element_cap": -1}),
+    (pattern_check, {"candidate_budget": -1}),
+    (pattern_check, {"element_cap": -1}),
+])
+def test_negative_budgets_are_parameter_errors(run, budgets):
+    # as on the command line: not an exhausted budget (UNKNOWN), and not a
+    # verdict reached with no room at all
+    run()
+    with pytest.raises(ParameterError, match="budget must be >= 0"):
+        run(**budgets)
 
 
 def test_query_validates_elements(quadrangle):
@@ -309,7 +343,7 @@ def ref_d(q, work):
 
 
 def ref_check(q):
-    work = LazyCompletion(q.ambient, q.element_cap)
+    work = RecordingCompletion(q.ambient, q.element_cap)
     if q.relation is Relation.ALG:
         return ref_alg(q, work)[1], work
     if q.relation is Relation.I:
@@ -317,7 +351,7 @@ def ref_check(q):
     return ref_d(q, work), work
 
 
-class Recorded(LazyCompletion):
+class Recorded(RecordingCompletion):
     """A workspace that remembers itself, so a test can see check's."""
 
     made = []
@@ -360,6 +394,7 @@ def test_check_matches_the_former_checkers(seed):
     assert v == want
     assert work.snapshot() == ref_work.snapshot()
     assert work.provenance == ref_work.provenance
+    assert work.provenance == work.recorded == ref_work.recorded
 
 
 def test_reference_comparison_reaches_every_outcome():

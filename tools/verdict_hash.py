@@ -1,16 +1,20 @@
-"""One digest of every independence verdict on perfbench's query-mix queries.
+"""Digests of every independence verdict and relative completion on
+perfbench's query-mix workload.
 
     python3 tools/verdict_hash.py SEED
 
 Draws the query-mix workload that ``perfbench/run.py --seed SEED`` runs, and
-captures the (structure, A, B, C) of each of its queries.  Each query is
-checked for every relation in both directions, (A, B) and (B, A), with
-query-mix's stage budget and element cap.  The status, witness and detail of
-every verdict go into one SHA-256 digest, printed with the number of checks.
-Two trees that print the same digest for a seed give byte-identical verdicts
-on those queries, so a change to the independence layer can be shown to keep
-its outputs with one command per tree.  ``perfbench/`` is imported, not
-changed.
+captures the (structure, A, B, C) of each of its queries and the (structure,
+seed) of each of its relative completions.  Each query is checked for every
+relation in both directions, (A, B) and (B, A), with query-mix's stage budget
+and element cap.  The status, witness and detail of every verdict go into one
+SHA-256 digest, printed first with the number of checks.  Each relative
+completion is run as query-mix runs it, and its ``y_stages``, ``c`` and
+``correspondence`` go into a second digest, printed on a second line with
+the number of runs.  Two trees that print the same digests for a seed give
+byte-identical results on that workload, so a change to the independence or
+completion layer can be shown to keep its outputs with one command per tree.
+``perfbench/`` is imported, not changed.
 """
 
 from __future__ import annotations
@@ -37,29 +41,48 @@ def canonical(value):
     return value
 
 
-def drawn_queries(seed: int) -> list:
-    """The (structure, A, B, C) of every query-mix query for ``seed``."""
-    queries = []
-    real = workloads.query_item
+def drawn_items(seed: int) -> tuple:
+    """The (structure, A, B, C) of every query-mix query for ``seed``, and
+    the (structure, seed set) of every relative completion."""
+    queries, relcompletes = [], []
+    real_query, real_relcomplete = workloads.query_item, workloads.relcomplete_item
 
-    def capture(kmn_, s, a, b, c):
+    def query(kmn_, s, a, b, c):
         queries.append((s, a, b, c))
-        return real(kmn_, s, a, b, c)
+        return real_query(kmn_, s, a, b, c)
 
-    workloads.query_item = capture
+    def relcomplete(kmn_, s, seed_set):
+        relcompletes.append((s, seed_set))
+        return real_relcomplete(kmn_, s, seed_set)
+
+    workloads.query_item, workloads.relcomplete_item = query, relcomplete
     try:
         workloads.query_mix(kmn, random.Random(seed))
     finally:
-        workloads.query_item = real
-    return queries
+        workloads.query_item, workloads.relcomplete_item = (
+            real_query, real_relcomplete)
+    return queries, relcompletes
+
+
+def relcomplete_record(s, seed_set) -> tuple:
+    """What relative_free_completion gives as query-mix runs it."""
+    try:
+        rc = kmn.relative_free_completion(
+            s, kmn.i_closure(s, seed_set), workloads.RELCOMPLETE_STAGES,
+            element_cap=workloads.RELCOMPLETE_CAP)
+    except kmn.BudgetError as e:
+        return ("BudgetError", str(e))
+    return (canonical(rc.y_stages), canonical(rc.c),
+            sorted(rc.correspondence.items()))
 
 
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/verdict_hash.py SEED", file=sys.stderr)
         return 1
+    queries, relcompletes = drawn_items(int(argv[0]))
     digest, checks = hashlib.sha256(), 0
-    for s, a, b, c in drawn_queries(int(argv[0])):
+    for s, a, b, c in queries:
         for rel in kmn.Relation:
             for x, y in ((a, b), (b, a)):
                 v = kmn.check(kmn.IndepQuery(
@@ -69,6 +92,10 @@ def main(argv) -> int:
                                     v.detail)).encode() + b"\n")
                 checks += 1
     print(f"{digest.hexdigest()}  {checks} checks")
+    digest = hashlib.sha256()
+    for s, seed_set in relcompletes:
+        digest.update(repr(relcomplete_record(s, seed_set)).encode() + b"\n")
+    print(f"{digest.hexdigest()}  {len(relcompletes)} relative completions")
     return 0
 
 
