@@ -691,7 +691,7 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
 
     def add(name: str, run: Callable[[argparse.Namespace], int], help_: str,
-            emit: bool = False) -> _Parser:
+            emit: bool = False, nodes: str = "search node budget") -> _Parser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(run=run)
         p.add_argument("--stages", type=int, default=None,
@@ -701,7 +701,7 @@ def _build_parser() -> _Parser:
                             "200 for embed's completion route)")
         p.add_argument("--nodes", "--budget", dest="nodes", type=int,
                        default=10_000_000,
-                       help="search node budget (default 10000000)")
+                       help=f"{nodes} (default 10000000)")
         p.add_argument("--seed", type=int, default=None,
                        help="reserved; output is deterministic")
         p.add_argument("--jobs", type=int, default=1,
@@ -783,10 +783,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--instances", type=int, required=True,
                    help="number of pattern instances")
 
-    p = add("plane", _cmd_plane, "search for a finite projective plane", emit=True)
+    p = add("plane", _cmd_plane, "search for a finite projective plane", emit=True,
+            nodes="node budget: each line placed and each prefix of a candidate "
+                  "line tested is a node")
     p.add_argument("--order", type=int, required=True)
 
-    p = add("embed", _cmd_embed, "embed a structure in a finite plane or completion")
+    p = add("embed", _cmd_embed, "embed a structure in a finite plane or completion",
+            nodes="node budget, spent separately by the plane search and by the "
+                  "embedding (each image tried is a node, automorphism search "
+                  "included)")
     p.add_argument("file")
     p.add_argument("--order", type=int, default=None,
                    help="target plane order; omit to search completions")

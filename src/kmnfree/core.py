@@ -545,6 +545,15 @@ def _match(small: IncidenceStructure, big: IncidenceStructure, order: Sequence[i
     return True, nodes
 
 
+def _on_mapped_neighbours(small_adj: Sequence[frozenset], big_adj: Sequence[frozenset],
+                          e: int, mapping: dict) -> Optional[frozenset]:
+    """The big-elements incident with the images of all of e's mapped
+    neighbours, or None when none is mapped.  Under an injective map every
+    other image fails ``_match``'s test, so candidate lists may keep to it."""
+    on = sorted((big_adj[mapping[u]] for u in small_adj[e] if u in mapping), key=len)
+    return on[0].intersection(*on[1:]) if on else None
+
+
 def isomorphic_over(
     s1: IncidenceStructure,
     s2: IncidenceStructure,
@@ -589,11 +598,11 @@ def isomorphic_over(
         by_class.setdefault(key, []).append(b)
 
     def candidates(a: int, mapping: dict):
-        on = sorted((adj2[mapping[u]] for u in adj1[a] if u in mapping), key=len)
-        if not on:
+        on = _on_mapped_neighbours(adj1, adj2, a, mapping)
+        if on is None:
             return by_class[key1[a]]
         degree = len(adj1[a])
-        return sorted(b for b in on[0].intersection(*on[1:]) if len(adj2[b]) == degree)
+        return sorted(b for b in on if len(adj2[b]) == degree)
 
     order = [e for e in s1.elements() if e not in mapping]
     if _match(s1, s2, order, candidates, mapping)[0]:

@@ -12,10 +12,15 @@ search deterministic, and fixes the very first line to the least
 possible point set.
 
 Embedding queries reuse found planes through a cache keyed by order, and
-search with the one backtracking matcher of ``core``.
-All searches are budgeted in decision nodes; a budget hit is reported
-as UNKNOWN rather than an error, since exhausting the space is the only
-way to conclude NONE.
+search with the one backtracking matcher of ``core``.  The first element
+(the root) skips each image c that an automorphism g of the plane maps a
+failed image f onto: an embedding phi with phi(root) = c would give the
+embedding g^-1 . phi with root image f.  So the first embedding found is
+the one the unpruned search finds.
+All searches are budgeted in decision nodes (lines placed and prefixes of
+candidate lines tested, or images tried, automorphism search included); a
+budget hit is reported as UNKNOWN rather than an error, since exhausting
+the space is the only way to conclude NONE.
 """
 
 from dataclasses import dataclass
@@ -31,6 +36,7 @@ from .core import (
     StructParams,
     StructureBuilder,
     _match,
+    _on_mapped_neighbours,
     is_kmn_free,
     satisfies_complete,
 )
@@ -88,6 +94,12 @@ class CompletionResult:
         return self.status is SearchStatus.FOUND
 
 
+class _Stop(Exception):
+    """Ends a plane search: the node budget ran out, or enough solutions
+    were found.  Not ``StopIteration``, which PEP 479 turns into a
+    ``RuntimeError`` when raised inside the candidate generator."""
+
+
 class _PlaneSearch:
     """DFS over line sets of a complete (2,2) structure of one order.
 
@@ -99,8 +111,9 @@ class _PlaneSearch:
     for the least pair, so no solutions are lost); otherwise lines are
     built in plain lexicographic order, which is far slower but useful
     as an oracle at order 1.  Canonical candidates are built point by
-    point instead of filtered from all combinations, in the same order,
-    so every node count is that of the filtered search.
+    point instead of filtered from all combinations, in the same order.
+    Each line placed and each prefix test is a node, so the node budget
+    bounds the work of building candidates as well.
     """
 
     def __init__(self, order: int, node_budget: int, canonical: bool = True):
@@ -152,7 +165,8 @@ class _PlaneSearch:
     def _free_subsets(self, pool: List[int], size: int):
         """The ``size``-subsets of ``pool`` with no used pair inside, in
         lexicographic order: ``combinations(pool, size)`` filtered by the
-        pair test, with each prefix tested once for all its extensions."""
+        pair test, with each prefix tested once for all its extensions.
+        Every prefix test is a node."""
         chosen: List[int] = []
 
         def extend(start: int):
@@ -160,6 +174,9 @@ class _PlaneSearch:
                 yield tuple(chosen)
                 return
             for i in range(start, len(pool) - size + len(chosen) + 1):
+                if self.nodes >= self.budget:
+                    raise _Stop
+                self.nodes += 1
                 p = pool[i]
                 row = self.pair_used[p]
                 if any(row[x] for x in chosen):
@@ -198,7 +215,7 @@ class _PlaneSearch:
         try:
             self._dfs(first_only, limit)
             self.exhausted = True
-        except StopIteration:
+        except _Stop:
             pass
 
     def _dfs(self, first_only: bool, limit: Optional[int]) -> None:
@@ -206,11 +223,11 @@ class _PlaneSearch:
         if cands is None:
             self.solutions.append(list(self.lines))
             if first_only or (limit is not None and len(self.solutions) >= limit):
-                raise StopIteration
+                raise _Stop
             return
         for cand in cands:
             if self.nodes >= self.budget:
-                raise StopIteration
+                raise _Stop
             self.nodes += 1
             self._place(cand)
             self._dfs(first_only, limit)
@@ -281,18 +298,30 @@ def enumerate_projective_planes(
     return planes, search.exhausted, search.nodes
 
 
-def _assignment_order(s: IncidenceStructure) -> List[int]:
-    # most-constrained-first: repeatedly take the element with the most
-    # already-ordered neighbors, breaking ties toward lower ids
+def _assignment_order(s: IncidenceStructure, placed=()) -> List[int]:
+    # most-constrained-first after ``placed``: repeatedly take the element
+    # with the most already-ordered neighbors, breaking ties toward lower ids
     chosen: List[int] = []
-    placed = set()
-    remaining = set(s.elements())
+    placed = set(placed)
+    remaining = set(s.elements()) - placed
     while remaining:
         best = max(remaining, key=lambda e: (len(s.neighbors(e) & placed), -e))
         chosen.append(best)
         placed.add(best)
         remaining.remove(best)
     return chosen
+
+
+def _neighbour_candidates(small: IncidenceStructure, big: IncidenceStructure):
+    """``_match`` candidates: the images incident with all images of e's
+    mapped neighbours, else every point or every line of ``big``; id order."""
+    images = [big.points if small.is_point(e) else big.lines for e in small.elements()]
+
+    def candidates(e: int, mapping: Dict[int, int]):
+        on = _on_mapped_neighbours(small._adj, big._adj, e, mapping)
+        return images[e] if on is None else sorted(on)
+
+    return candidates
 
 
 def _induced_embedding(
@@ -302,18 +331,81 @@ def _induced_embedding(
 ) -> Tuple[SearchStatus, Optional[Dict[int, int]], int]:
     """Induced embedding small -> big by the matcher in ``core``.
 
-    Elements are assigned most-constrained first, and every element tries
-    all points or all lines of ``big`` in id order, each unused one a node.
+    Elements are assigned most-constrained first, each trying the unused
+    ``_neighbour_candidates`` in id order, each one a node.  When root
+    image f fails, each later root image c = g(f) for an automorphism g of
+    ``big`` is skipped: an embedding phi with phi(root) = c would give the
+    embedding g^-1 . phi with root image f.  Skipped images would fail, so
+    the first embedding found is the one the unpruned search finds.  The
+    automorphisms are induced self-maps of ``big`` with f -> c (injective,
+    so onto), searched only after a failure; their nodes count in the
+    total and against the budget.
     """
-    images = [big.points if small.is_point(e) else big.lines for e in small.elements()]
-    mapping: Dict[int, int] = {}
-    outcome, nodes = _match(small, big, _assignment_order(small),
-                            lambda e, _: images[e], mapping, node_budget)
-    if outcome is None:
-        return SearchStatus.UNKNOWN, None, nodes
-    if outcome:
-        return SearchStatus.FOUND, mapping, nodes
+    order = _assignment_order(small)
+    if not order:
+        return SearchStatus.FOUND, {}, 0
+    root, rest = order[0], order[1:]
+    roots = big.points if small.is_point(root) else big.lines
+    candidates = _neighbour_candidates(small, big)
+    nodes, skip, automorphisms = 0, set(), []
+    for i, f in enumerate(roots):
+        if f in skip:
+            continue
+        if nodes >= node_budget:
+            return SearchStatus.UNKNOWN, None, nodes
+        nodes += 1
+        mapping = {root: f}
+        outcome, spent = _match(small, big, rest, candidates, mapping, node_budget - nodes)
+        nodes += spent
+        if outcome is None:
+            return SearchStatus.UNKNOWN, None, nodes
+        if outcome:
+            return SearchStatus.FOUND, mapping, nodes
+        later = [c for c in roots[i + 1:] if c not in skip]
+        orbit, spent = _orbit(big, f, later, automorphisms, node_budget - nodes)
+        nodes += spent
+        if orbit is None:
+            return SearchStatus.UNKNOWN, None, nodes
+        skip |= orbit
     return SearchStatus.NONE, None, nodes
+
+
+def _orbit(big: IncidenceStructure, f: int, later: List[int],
+           automorphisms: List[Dict[int, int]], node_budget: int
+           ) -> Tuple[Optional[set], int]:
+    """The orbit of f under the automorphisms of ``big``, as far as it meets
+    ``later``; returns (orbit, nodes), orbit None when the budget ran out.
+
+    Each c in ``later`` outside the known orbit costs one search for an
+    automorphism with f -> c; one found joins ``automorphisms`` (kept
+    across calls) and closes the orbit under all of them.
+    """
+    orbit, nodes = _closed({f}, automorphisms), 0
+    order, candidates = _assignment_order(big, (f,)), _neighbour_candidates(big, big)
+    for c in later:
+        if c in orbit:
+            continue
+        g = {f: c}
+        outcome, spent = _match(big, big, order, candidates, g, node_budget - nodes)
+        nodes += spent
+        if outcome is None:
+            return None, nodes
+        if outcome:
+            automorphisms.append(g)
+            _closed(orbit, automorphisms)
+    return orbit, nodes
+
+
+def _closed(orbit: set, automorphisms: List[Dict[int, int]]) -> set:
+    """``orbit`` (in place) closed under ``automorphisms``."""
+    todo = list(orbit)
+    while todo:
+        x = todo.pop()
+        for g in automorphisms:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                todo.append(g[x])
+    return orbit
 
 
 def embed_in_finite_plane(

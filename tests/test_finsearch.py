@@ -66,10 +66,17 @@ def test_enumeration_respects_limit():
 def test_unknown_on_node_budget():
     r = find_projective_plane(6, node_budget=500)
     assert r.status is SearchStatus.UNKNOWN
-    assert r.nodes >= 500
+    assert r.nodes == 500
     # undecided results stay out of the cache
     r2 = find_projective_plane(6, node_budget=500)
     assert r2 is not r
+
+
+def test_plane_budget_counts_prefix_tests():
+    # 100 placed lines at order 9 used to test millions of prefixes
+    clear_plane_cache()
+    r = find_projective_plane(9, node_budget=100)
+    assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, 100)
 
 
 def test_search_without_symmetry_breaking():

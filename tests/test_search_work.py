@@ -1,9 +1,12 @@
 """Work counts of the backtracking searches, pinned and checked against
 reference copies of the plain (filter-every-candidate) searches.
 
-The searches prune with forward checks and count refuted subtrees in bulk;
-every verdict, witness, node count and candidate count must equal what the
-plain searches below report.
+The pattern search prunes with forward checks and counts refuted subtrees
+in bulk; its verdicts, witnesses and candidate counts must equal what the
+plain search below reports.  The plane search counts prefix tests as
+nodes and the embedding search skips images that cannot pass, so their
+solutions, verdicts and FOUND mappings must equal the references', and
+their node counts are pinned beside the references' counts.
 """
 
 import itertools
@@ -59,31 +62,62 @@ def stage2_quadrangle():
 # pinned counts
 
 
-@pytest.mark.parametrize("order,nodes", [(1, 3), (2, 7), (3, 13), (4, 21), (5, 84)])
-def test_plane_search_nodes_are_pinned(order, nodes):
+# lines placed plus prefixes of candidate lines tested, per order
+PLANE_NODES = {1: 3, 2: 14, 3: 47, 4: 112, 5: 4_086}
+
+
+@pytest.mark.parametrize("order,lines", [(1, 3), (2, 7), (3, 13), (4, 21), (5, 84)])
+def test_plane_search_nodes_are_pinned(order, lines):
     clear_plane_cache()
     r = find_projective_plane(order)
-    assert (r.status, r.nodes) == (SearchStatus.FOUND, nodes)
+    assert (r.status, r.nodes) == (SearchStatus.FOUND, PLANE_NODES[order])
+    search = CountedPlaneSearch(order, 10**7)
+    search.run(first_only=True)
+    assert (search.placed, search.nodes) == (lines, PLANE_NODES[order])
 
 
 def test_plane_enumeration_counts_are_pinned():
     planes, exhausted, nodes = enumerate_projective_planes(2)
-    assert (len(planes), exhausted, nodes) == (30, True, 155)
+    assert (len(planes), exhausted, nodes) == (30, True, 310)
     planes, exhausted, nodes = enumerate_projective_planes(3, limit=50)
-    assert (len(planes), exhausted, nodes) == (50, False, 361)
+    assert (len(planes), exhausted, nodes) == (50, False, 1_359)
 
 
 @pytest.mark.parametrize("order,nodes", [(3, 30), (4, 40), (5, 50)])
 def test_stage2_quadrangle_embedding_nodes_are_pinned(order, nodes):
+    # ``nodes`` is the pairwise reference's count; the candidates from
+    # mapped neighbours need 13 at every order
     clear_plane_cache()
     r = embed_in_finite_plane(stage2_quadrangle(), order)
-    assert (r.status, r.nodes) == (SearchStatus.FOUND, nodes)
+    want = reference_induced_embedding(stage2_quadrangle(), r.plane, 10**7)
+    assert want[0::2] == (SearchStatus.FOUND, nodes)
+    assert (r.status, r.mapping, r.nodes) == (SearchStatus.FOUND, want[1], 13)
 
 
 def test_fano_into_order_3_exhausts_at_pinned_nodes():
+    # 2,921 embedding nodes: the first root image and its subtree; the
+    # other twelve points are its orbit, found by four automorphism
+    # searches of 25 nodes each
     clear_plane_cache()
     r = embed_in_finite_plane(fano_plane(), 3)
-    assert (r.status, r.nodes) == (SearchStatus.NONE, 318_890)
+    assert (r.status, r.nodes) == (SearchStatus.NONE, 3_021)
+    assert reference_induced_embedding(fano_plane(), r.plane, 10**7) == (
+        SearchStatus.NONE, None, 318_890)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2_920, 2_921, 2_922, 2_990, 3_020, 3_021])
+def test_fano_into_order_3_is_unknown_below_its_total(budget):
+    find_projective_plane(3)  # cached: the budget below is the embedding's
+    r = embed_in_finite_plane(fano_plane(), 3, node_budget=budget)
+    want = SearchStatus.NONE if budget == 3_021 else SearchStatus.UNKNOWN
+    assert (r.status, r.nodes) == (want, budget)
+
+
+def test_fano_into_order_5_is_none():
+    # the pairwise search is still UNKNOWN after 10,000,000 nodes
+    clear_plane_cache()
+    r = embed_in_finite_plane(fano_plane(), 5)
+    assert (r.status, r.nodes) == (SearchStatus.NONE, 76_803)
 
 
 def test_tp2_candidate_counts_are_pinned():
@@ -356,21 +390,54 @@ def reference_induced_embedding(small, big, node_budget):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 3, 10, 50, 400, 10**6]))
 @settings(max_examples=150, deadline=None)
 def test_induced_embedding_matches_pairwise_reference(seed, budget):
+    # where both decide they agree on the verdict and the mapping; an
+    # UNKNOWN has spent exactly its budget
     rng = random.Random(seed)
     small = random_free_structure(rng, 2, 2, max_elements=6)
     if rng.random() < 0.5:
         big = random_free_structure(rng, 2, 2, max_elements=12)
     else:
         big = find_projective_plane(rng.choice([1, 2, 3])).plane
-    assert _induced_embedding(small, big, budget) == reference_induced_embedding(
-        small, big, budget)
+    got = _induced_embedding(small, big, budget)
+    want = reference_induced_embedding(small, big, budget)
+    for status, _, nodes in (got, want):
+        assert nodes <= budget
+        if status is SearchStatus.UNKNOWN:
+            assert nodes == budget
+    if SearchStatus.UNKNOWN not in (got[0], want[0]):
+        assert got[:2] == want[:2]
+
+
+def test_root_images_outside_the_failed_orbit_are_tried():
+    # the root point fails at the isolated point 0; no automorphism maps
+    # it to point 1, which carries the only line
+    small = build(2, 2, points=("p",), lines=("l",), incidences=(("p", "l"),))
+    big = build(2, 2, points=("x", "y"), lines=("m",), incidences=(("y", "m"),))
+    assert _induced_embedding(small, big, 100) == (SearchStatus.FOUND, {0: 1, 1: 2}, 4)
+    assert reference_induced_embedding(small, big, 100)[:2] == (
+        SearchStatus.FOUND, {0: 1, 1: 2})
 
 
 # ---------------------------------------------------------------------------
 # plane search against filtered combinations
 
 
-class FilteredPlaneSearch(_PlaneSearch):
+class LineCount:
+    """Counts the lines a plane search places: its node count before prefix
+    tests were counted too."""
+
+    placed = 0
+
+    def _place(self, line):
+        self.placed += 1
+        super()._place(line)
+
+
+class CountedPlaneSearch(LineCount, _PlaneSearch):
+    pass
+
+
+class FilteredPlaneSearch(LineCount, _PlaneSearch):
     """Canonical candidates as all (k-2)-subsets of the pool, filtered by
     _admissible: the code before the lexicographic DFS."""
 
@@ -389,15 +456,16 @@ class FilteredPlaneSearch(_PlaneSearch):
 
 
 def run_search(cls, order, first_only, limit=None, budget=10**7):
+    """(solutions, exhausted, lines placed, nodes) of one search."""
     search = cls(order, budget)
     search.run(first_only=first_only, limit=limit)
-    return search.solutions, search.exhausted, search.nodes
+    return search.solutions, search.exhausted, search.placed, search.nodes
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_plane_search_matches_filtered_reference(order):
-    got = run_search(_PlaneSearch, order, first_only=True)
-    assert got == run_search(FilteredPlaneSearch, order, first_only=True)
+    got = run_search(CountedPlaneSearch, order, first_only=True)
+    assert got[:3] == run_search(FilteredPlaneSearch, order, first_only=True)[:3]
     clear_plane_cache()
     plane = find_projective_plane(order).plane
     assert sorted(plane.incidences()) == sorted(
@@ -408,8 +476,16 @@ def test_plane_search_matches_filtered_reference(order):
 @pytest.mark.parametrize("order,limit,budget", [(2, None, 10**7), (3, 50, 10**7),
                                                 (3, None, 200), (4, 5, 10**7)])
 def test_plane_enumeration_matches_filtered_reference(order, limit, budget):
-    assert run_search(_PlaneSearch, order, False, limit, budget) == run_search(
-        FilteredPlaneSearch, order, False, limit, budget)
+    # the reference counts only lines placed, so at one budget the search
+    # stops no later than it, after a prefix of its solutions
+    solutions, exhausted, placed, nodes = run_search(
+        CountedPlaneSearch, order, False, limit, budget)
+    want = run_search(FilteredPlaneSearch, order, False, limit, budget)
+    if nodes < budget:
+        assert (solutions, exhausted, placed) == want[:3]
+    else:
+        assert solutions == want[0][:len(solutions)]
+        assert not exhausted and placed <= want[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Digests of every independence verdict and relative completion on
-perfbench's query-mix workload.
+perfbench's query-mix workload, and of every search on its search-mix.
 
     python3 tools/verdict_hash.py SEED
 
@@ -11,10 +11,14 @@ and element cap.  The status, witness and detail of every verdict go into one
 SHA-256 digest, printed first with the number of checks.  Each relative
 completion is run as query-mix runs it, and its ``y_stages``, ``c`` and
 ``correspondence`` go into a second digest, printed on a second line with
-the number of runs.  Two trees that print the same digests for a seed give
-byte-identical results on that workload, so a change to the independence or
-completion layer can be shown to keep its outputs with one command per tree.
-``perfbench/`` is imported, not changed.
+the number of runs.  A third line digests the search-mix workload of the
+same seed: each search's input, status, FOUND mapping and plane (or
+finite completion and embedding), and each pattern's status and candidate
+count, with the number of searches; node counts are left out.  Two trees
+that print the same digests for a seed give byte-identical results on those
+workloads, so a change to the independence, completion or search layer can
+be shown to keep its outputs with one command per tree.  ``perfbench/`` is
+imported, not changed.
 """
 
 from __future__ import annotations
@@ -76,6 +80,64 @@ def relcomplete_record(s, seed_set) -> tuple:
             sorted(rc.correspondence.items()))
 
 
+def structure_key(s) -> tuple:
+    return (s.params.m, s.params.n, s.points, s.lines, sorted(s.incidences()))
+
+
+def search_record(args, result) -> tuple:
+    """A search-mix search's input and result, node counts left out."""
+    args = tuple(structure_key(a) if isinstance(a, kmn.IncidenceStructure) else a
+                 for a in args)
+    if isinstance(result, kmn.amalgam.PatternVerdict):
+        return args, result.status.name, result.candidates
+    found = result.status is kmn.SearchStatus.FOUND
+    if isinstance(result, kmn.finsearch.PlaneResult):
+        return args, result.status.name, found and structure_key(result.plane)
+    if isinstance(result, kmn.finsearch.EmbedResult):
+        return (args, result.status.name, found and sorted(result.mapping.items()),
+                found and structure_key(result.plane))
+    return (args, result.status.name, found and sorted(result.embedding.items()),
+            found and structure_key(result.structure))
+
+
+class SearchContext:
+    """What search-mix's items use of perfbench's round context."""
+
+    first_round = True
+
+    def count(self, key, n):
+        pass
+
+    def tally(self, key):
+        pass
+
+    def fail(self, message):
+        raise SystemExit(f"search-mix check failed: {message}")
+
+
+def search_records(seed: int) -> list:
+    """One record per search of search-mix for ``seed``, each run once from
+    an empty plane cache, as perfbench runs them."""
+    records, real_search_op = [], workloads.search_op
+
+    def search_op(ctx, kmn_, label, search, inputs, decided):
+        results = []
+        for args in inputs:
+            kmn.finsearch.clear_plane_cache()
+            results.append(search(*args))
+            records.append((label, search_record(args, results[-1])))
+        return results
+
+    workloads.search_op = search_op
+    try:
+        items, _ = workloads.search_mix(kmn, random.Random(seed))
+        for item in items:
+            item(SearchContext())
+    finally:
+        workloads.search_op = real_search_op
+    return records
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/verdict_hash.py SEED", file=sys.stderr)
@@ -96,6 +158,10 @@ def main(argv) -> int:
     for s, seed_set in relcompletes:
         digest.update(repr(relcomplete_record(s, seed_set)).encode() + b"\n")
     print(f"{digest.hexdigest()}  {len(relcompletes)} relative completions")
+    digest, records = hashlib.sha256(), search_records(int(argv[0]))
+    for record in records:
+        digest.update(repr(record).encode() + b"\n")
+    print(f"{digest.hexdigest()}  {len(records)} searches")
     return 0
 
 
