@@ -38,6 +38,7 @@ from .core import (
     Sort,
     StructureBuilder,
     _primed_name,
+    embedding_fault,
     induced,
     is_kmn_free,
 )
@@ -133,28 +134,13 @@ def extension_witness(
         raise PreconditionError(
             f"anchor has {len(anchor)} elements, diagram has {len(d.base_vars)} base variables"
         )
-    if len(set(anchor)) != len(anchor):
-        raise PreconditionError("anchor elements must be distinct")
-    dg = d.structure
-    for v, a in zip(d.base_vars, anchor):
+    for a in anchor:
         if a not in s.elements():
             raise ParameterError(f"anchor element {a} is not in the structure")
-        if dg.sort(v) is not s.sort(a):
-            raise PreconditionError(
-                f"anchor element {s.name(a)!r} has the wrong sort for variable {dg.name(v)!r}"
-            )
-    pos = {v: a for v, a in zip(d.base_vars, anchor)}
-    for u, v in itertools.combinations(d.base_vars, 2):
-        du, dv = (u, v) if dg.is_point(u) else (v, u)
-        if dg.is_point(du) and dg.is_line(dv):
-            want = dg.incident(du, dv)
-            have = s.incident(pos[du], pos[dv])
-            if want != have:
-                raise PreconditionError(
-                    f"anchor does not realize the base diagram: incidence "
-                    f"({dg.name(du)!r}, {dg.name(dv)!r}) is {want} in the diagram "
-                    f"but {have} on the anchor"
-                )
+    dg, pos = d.structure, dict(zip(d.base_vars, anchor))
+    fault = embedding_fault(dg, s, pos)
+    if fault:
+        raise PreconditionError(f"anchor does not realize the base diagram: {fault}")
 
     b = StructureBuilder.from_structure(s)
     images = {}
@@ -187,20 +173,9 @@ def _check_induced_embedding(
 ) -> None:
     if set(mapping) != set(small.elements()):
         raise PreconditionError(f"{label}: embedding does not cover the base")
-    if len(set(mapping.values())) != len(mapping):
-        raise PreconditionError(f"{label}: embedding is not injective")
-    for e, im in mapping.items():
-        if im not in big.elements():
-            raise PreconditionError(f"{label}: image {im} is not in the target")
-        if small.sort(e) is not big.sort(im):
-            raise PreconditionError(f"{label}: embedding breaks sorts at {small.name(e)!r}")
-    for p in small.points:
-        for l in small.lines:
-            if small.incident(p, l) != big.incident(mapping[p], mapping[l]):
-                raise PreconditionError(
-                    f"{label}: embedding is not induced at "
-                    f"({small.name(p)!r}, {small.name(l)!r})"
-                )
+    fault = embedding_fault(small, big, mapping)
+    if fault:
+        raise PreconditionError(f"{label}: not an induced embedding: {fault}")
 
 
 @dataclass(frozen=True)
@@ -300,16 +275,12 @@ def _ids_for(s: IncidenceStructure, names: Iterable[str]) -> frozenset:
 
 
 def _check_join_embedding(part: IncidenceStructure, join: IncidenceStructure, hyp: str):
-    mapping = {}
-    for e in part.elements():
-        nm = part.name(e)
-        if not join.has_name(nm):
-            raise GlueHypothesisError(hyp, f"element {nm!r} missing from the join")
-        mapping[e] = join.by_name(nm)
-    try:
-        _check_induced_embedding(part, join, mapping, hyp)
-    except PreconditionError as exc:
-        raise GlueHypothesisError(hyp, str(exc)) from None
+    missing = [nm for nm in part.names(part.elements()) if not join.has_name(nm)]
+    fault = (f"element {missing[0]!r} missing from the join" if missing else
+             embedding_fault(part, join, {e: join.by_name(part.name(e))
+                                          for e in part.elements()}))
+    if fault:
+        raise GlueHypothesisError(hyp, fault)
 
 
 def independence_glue(
@@ -709,17 +680,9 @@ def pattern_consistent(
         cand = b.build()
 
         ok, _ = is_kmn_free(cand)
-        if not ok:
-            return False
-        if pattern.exact:
-            dg_elems = sorted(dg.elements())
-            for elems in inst_elems:
-                mapped = dict(zip(dg_elems, (image(t) for t in elems)))
-                for p in dg.points:
-                    for l in dg.lines:
-                        if dg.incident(p, l) != cand.incident(mapped[p], mapped[l]):
-                            return False
-        return True
+        return ok and not (pattern.exact and any(
+            embedding_fault(dg, cand, dict(zip(dg.elements(), map(image, elems))))
+            for elems in inst_elems))
 
     def target_options(blk):
         pool_e = existing_pts if token_sort[blk[0]] is Sort.POINT else existing_lns

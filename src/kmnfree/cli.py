@@ -789,9 +789,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, required=True)
 
     p = add("embed", _cmd_embed, "embed a structure in a finite plane or completion",
-            nodes="node budget, spent separately by the plane search and by the "
-                  "embedding (each image tried is a node, automorphism search "
-                  "included)")
+            nodes="node budget shared by the plane search and the embedding "
+                  "(each image tried is a node, automorphism search included)")
     p.add_argument("file")
     p.add_argument("--order", type=int, default=None,
                    help="target plane order; omit to search completions")

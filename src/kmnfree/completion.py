@@ -5,7 +5,9 @@ deficient line set is an n-set of lines with at most m-2 common points.  One
 completion step adds, simultaneously against the start-of-stage structure,
 one fresh line per deficient point set (incident exactly with it) and one
 fresh point per deficient line set.  Iterating yields the free completion;
-every stage stays K_{m,n}-free.  Steps write the fresh adjacency directly,
+every stage stays K_{m,n}-free.  One stage loop, ``_stages``, iterates it
+for ``free_completion``, ``gamma.nonfree_completion_probe`` and
+``finsearch.embed_search_general``.  Steps write the fresh adjacency directly,
 unchecked, because no fresh element can lie in a grid (proof at
 ``complete_step``); ``LazyCompletion`` spawns through the guarded add.
 
@@ -51,6 +53,7 @@ from .core import (
     StructureBuilder,
     _default_name,
     colex_combinations,
+    embedding_fault,
     induced,
     is_kmn_free,
 )
@@ -187,6 +190,26 @@ class FreeCompletionRun:
         return list(self.final.sizes)
 
 
+def _stages(seed: IncidenceStructure, element_cap: int) -> Iterator[CompletionStage]:
+    """Stage 0 of the free completion of the free ``seed``, then each later
+    stage up to the fixpoint, the last stage yielded.  Each stage is scanned
+    for deficient sets once, when the next one is asked for; BudgetError if
+    the next stage would push the element count past ``element_cap``."""
+    stage = initial_stage(seed)
+    while True:
+        yield stage
+        room = element_cap - len(stage.structure)
+        defs = _deficient(stage.structure, room)
+        if not defs:
+            return
+        if len(defs.point_sets) + len(defs.line_sets) > room:
+            raise BudgetError(
+                f"free completion stage {stage.k + 1} needs more than "
+                f"{element_cap} elements"
+            )
+        stage = _step(stage, defs)
+
+
 def free_completion(
     m0: IncidenceStructure, stages: int, element_cap: int = 100_000
 ) -> FreeCompletionRun:
@@ -203,24 +226,10 @@ def free_completion(
     ok, witness = is_kmn_free(m0)
     if not ok:
         raise PreconditionError(f"seed structure is not K-free: {witness}")
-    run = [initial_stage(m0)]
-    while len(run) <= stages:
-        cur = run[-1]
-        room = element_cap - len(cur.structure)
-        defs = _deficient(cur.structure, room)
-        if not defs:
-            last = cur.sizes[-1:]
-            run += [
-                CompletionStage(cur.structure, k, cur.sizes + last * (k - cur.k))
-                for k in range(cur.k + 1, stages + 1)
-            ]
-            break
-        if len(defs.point_sets) + len(defs.line_sets) > room:
-            raise BudgetError(
-                f"free completion stage {cur.k + 1} needs more than "
-                f"{element_cap} elements"
-            )
-        run.append(_step(cur, defs))
+    run = list(islice(_stages(m0, element_cap), stages + 1))
+    fix = run[-1]  # the fixpoint, if the run ends early
+    run += [CompletionStage(fix.structure, k, fix.sizes + fix.sizes[-1:] * (k - fix.k))
+            for k in range(fix.k + 1, stages + 1)]
     return FreeCompletionRun(tuple(run))
 
 
@@ -316,17 +325,10 @@ def relative_free_completion(
 def _is_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure,
                     keep: frozenset, corr: dict) -> bool:
     """Is ``corr`` an isomorphism from ``s1`` onto the substructure of ``s2``
-    induced on ``keep``?  It is when it maps the elements of s1 one to one
-    onto ``keep``, keeps sorts, and maps the neighbours of each element onto
-    the neighbours of its image in ``keep``: one pass over the incidences.
-    """
-    if len(corr) != len(s1) or len(keep) != len(s1) or set(corr.values()) != keep:
-        return False
-    return all(
-        s2.sort(corr[e]) is s1.sort(e)
-        and {corr[x] for x in s1.neighbors(e)} == s2.neighbors(corr[e]) & keep
-        for e in s1.elements()
-    )
+    induced on ``keep``?  It is when it is an induced embedding of all of s1
+    whose image is ``keep``."""
+    return (len(corr) == len(s1) and set(corr.values()) == keep
+            and embedding_fault(s1, s2, corr) is None)
 
 
 class LazyCompletion:

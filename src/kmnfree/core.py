@@ -610,6 +610,35 @@ def isomorphic_over(
     return IsoResult(None)
 
 
+def embedding_fault(small: IncidenceStructure, big: IncidenceStructure,
+                    mapping: Mapping[int, int]) -> Optional[str]:
+    """Why ``mapping``, a possibly partial map from elements of ``small`` to
+    ``big``, is not an induced embedding; None when it is one.  It is one
+    when it is injective into ``big``, keeps sorts, and a mapped point and
+    line are incident exactly when their images are.  The reason names the
+    first fault in id order of ``small``: an image outside ``big``, a sort
+    clash or a shared image, else the least wrong (point, line) pair.  One
+    pass over the incidences of the mapped points.
+    """
+    name, domain, inverse = small.name, sorted(mapping), {}
+    for e in domain:
+        im = mapping[e]
+        if im not in big.elements():
+            return f"image {im!r} of {name(e)!r} is outside the target"
+        if small.sort(e) is not big.sort(im):
+            return f"sort clash at {name(e)!r}"
+        if im in inverse:
+            return f"{name(inverse[im])!r} and {name(e)!r} share an image"
+        inverse[im] = e
+    for p in domain:
+        if small.is_point(p):
+            wrong = {l for l in small.neighbors(p) if l in mapping}.symmetric_difference(
+                inverse[l] for l in big.neighbors(mapping[p]) if l in inverse)
+            if wrong:
+                return f"incidence mismatch at ({name(p)!r}, {name(min(wrong))!r})"
+    return None
+
+
 def induced(s: IncidenceStructure, keep: Iterable[int]):
     """The induced substructure on ``keep``; returns (structure, old->new)."""
     keep = sorted(set(keep))

@@ -25,7 +25,7 @@ the space is the only way to conclude NONE.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -40,7 +40,7 @@ from .core import (
     is_kmn_free,
     satisfies_complete,
 )
-from .completion import free_completion, deficient_sets
+from .completion import _stages
 
 __all__ = [
     "SearchStatus",
@@ -415,21 +415,25 @@ def embed_in_finite_plane(
 
     The plane comes from find_projective_plane (cached).  The embedding
     is injective, sort-preserving, and induced: incidence between image
-    elements holds exactly when it holds in ``a``.
+    elements holds exactly when it holds in ``a``.  ``node_budget`` bounds
+    the plane search and the embedding together, and ``nodes`` counts both;
+    a cached plane costs nothing.
     """
     if a.params != StructParams(2, 2):
         raise ParameterError("plane embedding is a (2, 2) operation")
     free, wit = is_kmn_free(a)
     if not free:
         raise PreconditionError(f"input contains a complete grid: {wit}")
+    cached = order in _plane_cache
     plane_result = find_projective_plane(order, node_budget)
+    spent = 0 if cached else plane_result.nodes
     if plane_result.status is not SearchStatus.FOUND:
-        return EmbedResult(plane_result.status, nodes=plane_result.nodes)
+        return EmbedResult(plane_result.status, nodes=spent)
     plane = plane_result.plane
     if len(a.points) > len(plane.points) or len(a.lines) > len(plane.lines):
-        return EmbedResult(SearchStatus.NONE, plane=plane, nodes=0)
-    status, mapping, nodes = _induced_embedding(a, plane, node_budget)
-    return EmbedResult(status, mapping=mapping, plane=plane, nodes=nodes)
+        return EmbedResult(SearchStatus.NONE, plane=plane, nodes=spent)
+    status, mapping, nodes = _induced_embedding(a, plane, node_budget - spent)
+    return EmbedResult(status, mapping=mapping, plane=plane, nodes=spent + nodes)
 
 
 def embed_search_general(
@@ -443,24 +447,23 @@ def embed_search_general(
     whenever it converges within the size bound (always, when m or n
     is 1); at (2, 2), additionally try embedding into planes of order
     up to 3 whose size fits the bound.  NONE and FOUND are claims about
-    the searched bound only, which the detail string spells out.
+    the searched bound only, which the detail string spells out.  The
+    completion has converged when its stages end within 64 steps.  Each
+    order gets the node budget the earlier orders left.
     """
     free, wit = is_kmn_free(a)
     if not free:
         raise PreconditionError(f"input contains a complete grid: {wit}")
 
     try:
-        run = free_completion(a, stages=64, element_cap=max_elements)
-        final = run.final.structure
-        if not deficient_sets(final):
-            report = satisfies_complete(final)
-            if report.passed:
-                return CompletionResult(
-                    SearchStatus.FOUND,
-                    structure=final,
-                    embedding={e: e for e in a.elements()},
-                    detail=f"free completion converged at {len(final)} elements",
-                )
+        *_, final = islice(_stages(a, max_elements), 66)
+        if final.k <= 64:  # a free fixpoint is complete
+            return CompletionResult(
+                SearchStatus.FOUND,
+                structure=final.structure,
+                embedding={e: e for e in a.elements()},
+                detail=f"free completion converged at {len(final.structure)} elements",
+            )
     except BudgetError:
         pass  # completion outgrew the bound; fall through
 
@@ -477,7 +480,7 @@ def embed_search_general(
     for q in range(1, max_order + 1):
         if 2 * (q * q + q + 1) > max_elements:
             break
-        result = embed_in_finite_plane(a, q, node_budget)
+        result = embed_in_finite_plane(a, q, node_budget - nodes)
         nodes += result.nodes
         attempted.append(q)
         if result.status is SearchStatus.FOUND:

@@ -37,23 +37,19 @@ from .core import (
     BudgetError,
     IncidenceStructure,
     ParameterError,
+    PreconditionError,
     Sort,
     StructParams,
     StructureBuilder,
     _primed_name,
     common_neighbors,
+    embedding_fault,
     induced,
     is_kmn_free,
     isomorphic_over,
+    satisfies_complete,
 )
-from .completion import (
-    CompletionStage,
-    LazyCompletion,
-    _deficient,
-    _step,
-    deficient_sets,
-    initial_stage,
-)
+from .completion import LazyCompletion, _stages
 from .closure import Ternary, generates
 
 __all__ = [
@@ -342,26 +338,11 @@ def gamma_invariants(g: GammaStructure) -> GammaReport:
 
     # proper prefixes embed name-for-name with no extra incidences among them
     for cut in range(k):
-        prefix = gamma(g.eta[:cut])
-        ps = prefix.structure
-        trouble = None
-        for e in ps.elements():
-            nm = ps.name(e)
-            if not s.has_name(nm):
-                trouble = f"missing element {nm}"
-                break
-            if s.sort(s.by_name(nm)) is not ps.sort(e):
-                trouble = f"sort clash at {nm}"
-                break
-        if trouble is None:
-            for p in ps.points:
-                for l in ps.lines:
-                    here = s.incident(s.by_name(ps.name(p)), s.by_name(ps.name(l)))
-                    if here != ps.incident(p, l):
-                        trouble = f"incidence mismatch at ({ps.name(p)}, {ps.name(l)})"
-                        break
-                if trouble:
-                    break
+        ps = gamma(g.eta[:cut]).structure
+        missing = [nm for nm in ps.names(ps.elements()) if not s.has_name(nm)]
+        trouble = (f"missing element {missing[0]}" if missing else
+                   embedding_fault(ps, s, {e: s.by_name(ps.name(e))
+                                           for e in ps.elements()}))
         if trouble:
             failures.append(f"prefix {g.eta[:cut]}: {trouble}")
 
@@ -562,34 +543,31 @@ def nonfree_completion_probe(
     """
     if a.params != StructParams(2, 2):
         raise ParameterError("the probe runs at parameters (2, 2)")
-    defs = deficient_sets(a)
-    if not defs:
+    free, witness = is_kmn_free(a)
+    if not free:
+        raise PreconditionError(f"structure is not K-free: {witness}")
+    if satisfies_complete(a).passed:  # a free seed is complete iff nothing is deficient
         return ProbeResult(False, reason="no deficiencies")
 
-    # the seed is free, and so is every stage (proof at complete_step): each
-    # later stage is only scanned for its deficient sets
-    stage = initial_stage(a)
-    working: Optional[CompletionStage] = None
-    for _ in range(stage_budget):
+    stages = _stages(a, element_cap)
+    stage, working = next(stages), None
+    while working is None:
+        if stage.k >= stage_budget:
+            raise BudgetError(
+                f"growth precondition unverified within {stage_budget} stages"
+            )
         if len(stage.structure) > 3_000:
             raise BudgetError(
                 "growth precondition unverified: stage too large to expand"
             )
-        room = element_cap - len(stage.structure)
-        if stage.k > 0:
-            defs = _deficient(stage.structure, room)
-            if not defs:
-                return ProbeResult(False, reason="free completion converged finite")
-        if len(defs.point_sets) + len(defs.line_sets) > room:
-            raise BudgetError("growth precondition unverified: element cap hit")
-        stage = _step(stage, defs)
+        try:
+            stage = next(stages, None)
+        except BudgetError:
+            raise BudgetError("growth precondition unverified: element cap hit") from None
+        if stage is None:
+            return ProbeResult(False, reason="free completion converged finite")
         if any(stage.structure.degree(p) >= 7 for p in stage.structure.points):
             working = stage
-            break
-    if working is None:
-        raise BudgetError(
-            f"growth precondition unverified within {stage_budget} stages"
-        )
 
     s = working.structure
     lines = sorted(s.lines)

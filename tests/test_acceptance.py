@@ -379,12 +379,12 @@ def test_criterion_09_plane_search_and_embeddings():
         r1 = find_projective_plane(1)
         assert r1.status is SearchStatus.FOUND
         assert len(r1.plane.points) == len(r1.plane.lines) == 3
-        assert bool(satisfies_complete(r1.plane))
+        assert satisfies_complete(r1.plane).passed
 
         r2 = find_projective_plane(2)
         assert r2.status is SearchStatus.FOUND
         assert len(r2.plane.points) == len(r2.plane.lines) == 7
-        assert bool(satisfies_complete(r2.plane))
+        assert satisfies_complete(r2.plane).passed
         planes, exhausted, _ = enumerate_projective_planes(2)
         assert exhausted
         for p in planes:
@@ -403,7 +403,7 @@ def test_criterion_09_plane_search_and_embeddings():
         r3 = find_projective_plane(3)
         assert r3.status is SearchStatus.FOUND
         assert len(r3.plane.points) == 13
-        assert bool(satisfies_complete(r3.plane))
+        assert satisfies_complete(r3.plane).passed
         s13 = free_completion(quadrangle_structure(), 2).final.structure
         assert len(s13) == 13
         e = embed_in_finite_plane(s13, 3)

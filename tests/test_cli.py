@@ -297,6 +297,21 @@ def test_indep_dependent_is_decided(capsys, tmp_path):
     assert doc["witness"] == ["b", "z"]
 
 
+def test_indep_div_on_the_2_3_configuration_ends_at_the_element_cap(capsys, tmp_path):
+    # the closure of AC over D={b, c1} grows until the element cap stops it;
+    # at the default cap of 100,000 that takes minutes
+    f = tmp_path / "bm23.json"
+    code, out, err = run(capsys, "bm", "--m", "2", "--n", "3")
+    assert code == 0
+    f.write_text(out)
+    code, doc, err = run_json(capsys, "indep", str(f), "--rel", "d", "--a", "a1,a2",
+                              "--b", "b", "--c", "c1", "--elements", "2000")
+    assert code == 2
+    assert doc["status"] == "unknown"
+    assert doc["detail"] == ("sub-query over D=[1, 4]: closure of AC did not "
+                             "converge (element cap)")
+
+
 def test_separate_command(capsys):
     code, doc, err = run_json(capsys, "separate", "--eta", "0")
     assert code == 0

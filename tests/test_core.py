@@ -28,7 +28,8 @@ from kmnfree import (
     isomorphic_over,
     satisfies_complete,
 )
-from kmnfree.core import colex_combinations
+from kmnfree import completion
+from kmnfree.core import colex_combinations, embedding_fault
 
 from conftest import build, quadrangle_structure, random_free_structure
 
@@ -400,3 +401,101 @@ def test_structure_equality_and_hash(quadrangle):
     assert quadrangle == other
     assert hash(quadrangle) == hash(other)
     assert quadrangle != build(2, 2, points=("p1", "p2", "p3", "q"))
+
+
+# ---------------------------------------------------------------------------
+# induced embeddings
+
+
+def ref_check_induced_embedding(small, big, mapping):
+    """Reference copy of the pairwise check ``embedding_fault`` replaced in
+    the amalgam, run on the mapped elements: injectivity, then images and
+    sorts, then every (point, line) pair in id order.  None, a fault kind,
+    or ("incidence", (p, l))."""
+    if len(set(mapping.values())) != len(mapping):
+        return "injective"
+    for e, im in mapping.items():
+        if im not in big.elements():
+            return "outside"
+        if small.sort(e) is not big.sort(im):
+            return "sort"
+    for p in small.points:
+        for l in small.lines:
+            if p in mapping and l in mapping and (
+                    small.incident(p, l) != big.incident(mapping[p], mapping[l])):
+                return "incidence", (p, l)
+    return None
+
+
+def ref_is_isomorphism(s1, s2, keep, corr):
+    """Reference copy of the neighbour-set check of the correspondence in
+    ``relative_free_completion``."""
+    if len(corr) != len(s1) or len(keep) != len(s1) or set(corr.values()) != keep:
+        return False
+    return all(
+        s2.sort(corr[e]) is s1.sort(e)
+        and {corr[x] for x in s1.neighbors(e)} == s2.neighbors(corr[e]) & keep
+        for e in s1.elements()
+    )
+
+
+def assert_fault_agrees(small, big, mapping):
+    want, got = ref_check_induced_embedding(small, big, mapping), embedding_fault(
+        small, big, mapping)
+    if want is None:
+        assert got is None
+    elif want[0] == "incidence":
+        p, l = want[1]
+        assert got == f"incidence mismatch at ({small.name(p)!r}, {small.name(l)!r})"
+    else:
+        assert got is not None and not got.startswith("incidence")
+
+
+def random_embedded(rng):
+    """(small, big, mapping): a random free ``big`` and the induced embedding
+    of its substructure on a random subset."""
+    m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+    big = random_free_structure(rng, m, n, max_elements=12, incidence_tries=20)
+    keep = [e for e in big.elements() if rng.random() < 0.6]
+    small, remap = induced(big, keep)
+    return small, big, {new: old for old, new in remap.items()}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_embedding_fault_matches_the_pairwise_check(seed):
+    rng = random.Random(seed)
+    small, big, emb = random_embedded(rng)
+    assert embedding_fault(small, big, emb) is None
+    keep = frozenset(emb.values())
+    full = small.elements()
+    # correct maps with two images swapped
+    for x, y in itertools.combinations(full, 2):
+        swapped = dict(emb)
+        swapped[x], swapped[y] = emb[y], emb[x]
+        assert_fault_agrees(small, big, swapped)
+        assert completion._is_isomorphism(small, big, keep, swapped) == (
+            ref_is_isomorphism(small, big, keep, swapped))
+    # random partial maps: same-sort injective ones reach the incidence test
+    for _ in range(10):
+        domain = [e for e in full if rng.random() < 0.7]
+        if rng.random() < 0.5:
+            mapping = {e: rng.randrange(len(big) + 1) for e in domain}
+        else:
+            pools = {s: [e for e in big.elements() if big.sort(e) is s] for s in Sort}
+            for pool in pools.values():
+                rng.shuffle(pool)
+            mapping = {e: pools[small.sort(e)].pop() for e in domain
+                       if pools[small.sort(e)]}
+        assert_fault_agrees(small, big, mapping)
+
+
+def test_embedding_fault_reasons():
+    s = build(2, 2, points=("p", "q"), lines=("u",), incidences=[("p", "u")])
+    assert embedding_fault(s, s, {0: 0, 1: 1, 2: 2}) is None
+    assert embedding_fault(s, s, {}) is None
+    assert embedding_fault(s, s, {0: 1, 2: 2}) == "incidence mismatch at ('p', 'u')"
+    assert embedding_fault(s, s, {1: 0, 2: 2}) == "incidence mismatch at ('q', 'u')"
+    assert embedding_fault(s, s, {0: 2}) == "sort clash at 'p'"
+    assert embedding_fault(s, s, {0: 0, 1: 0}) == "'p' and 'q' share an image"
+    assert embedding_fault(s, s, {0: 3}) == "image 3 of 'p' is outside the target"

@@ -17,6 +17,7 @@ from kmnfree import (
     HTerm,
     LazyCompletion,
     ParameterError,
+    PreconditionError,
     Sort,
     StructParams,
     Ternary,
@@ -325,7 +326,7 @@ def test_fano_plane_shape():
     f = fano_plane()
     assert len(f.points) == 7 and len(f.lines) == 7
     assert all(len(f.neighbors(l)) == 3 for l in f.lines)
-    assert bool(satisfies_complete(f))
+    assert satisfies_complete(f).passed
     assert is_kmn_free(f)[0]
 
 
@@ -349,7 +350,7 @@ def test_probe_on_seeded_quadrangle():
     # the witness subset is a copy of the 7-point plane
     assert len(r.fano_witness) == 14
     sub, _ = induced(b0, r.fano_witness)
-    assert bool(satisfies_complete(sub))
+    assert satisfies_complete(sub).passed
     assert isomorphic_over(sub, fano_plane(), {})
 
 
@@ -378,3 +379,33 @@ def test_probe_decided_negatives():
     neg2 = nonfree_completion_probe(tri)
     assert not neg2.ok
     assert neg2.reason == "free completion converged finite"
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_probe_stage_budget_below_the_working_stage(budget):
+    with pytest.raises(BudgetError,
+                       match=f"growth precondition unverified within {budget} stages"):
+        nonfree_completion_probe(quadrangle_structure(), stage_budget=budget)
+
+
+def test_probe_element_cap():
+    with pytest.raises(BudgetError,
+                       match="growth precondition unverified: element cap hit"):
+        nonfree_completion_probe(quadrangle_structure(), element_cap=20)
+    # stage 5 has 46 elements, and the certificate's free side 56
+    r = nonfree_completion_probe(quadrangle_structure(), element_cap=60)
+    assert r.ok and r.working_stage == 5
+
+
+def test_probe_line_selection_budget():
+    with pytest.raises(BudgetError, match="line-selection search exhausted its budget"):
+        nonfree_completion_probe(quadrangle_structure(), search_budget=10)
+
+
+def test_probe_seed_checks_come_before_the_stage_budget():
+    assert nonfree_completion_probe(fano_plane(), stage_budget=0).reason == (
+        "no deficiencies")
+    grid = build(2, 2, points=("p", "q"), lines=("u", "v"),
+                 incidences=[(p, l) for p in "pq" for l in "uv"], guard=False)
+    with pytest.raises(PreconditionError, match="not K-free"):
+        nonfree_completion_probe(grid, stage_budget=0)

@@ -25,6 +25,7 @@ from kmnfree import (
     StructParams,
     StructureBuilder,
     embed_in_finite_plane,
+    embed_search_general,
     enumerate_projective_planes,
     fano_plane,
     find_projective_plane,
@@ -86,21 +87,22 @@ def test_plane_enumeration_counts_are_pinned():
 @pytest.mark.parametrize("order,nodes", [(3, 30), (4, 40), (5, 50)])
 def test_stage2_quadrangle_embedding_nodes_are_pinned(order, nodes):
     # ``nodes`` is the pairwise reference's count; the candidates from
-    # mapped neighbours need 13 at every order
+    # mapped neighbours need 13 at every order, after the plane search
     clear_plane_cache()
     r = embed_in_finite_plane(stage2_quadrangle(), order)
     want = reference_induced_embedding(stage2_quadrangle(), r.plane, 10**7)
     assert want[0::2] == (SearchStatus.FOUND, nodes)
-    assert (r.status, r.mapping, r.nodes) == (SearchStatus.FOUND, want[1], 13)
+    assert (r.status, r.mapping, r.nodes) == (
+        SearchStatus.FOUND, want[1], PLANE_NODES[order] + 13)
 
 
 def test_fano_into_order_3_exhausts_at_pinned_nodes():
     # 2,921 embedding nodes: the first root image and its subtree; the
     # other twelve points are its orbit, found by four automorphism
-    # searches of 25 nodes each
+    # searches of 25 nodes each; 3,068 with the plane search's 47
     clear_plane_cache()
     r = embed_in_finite_plane(fano_plane(), 3)
-    assert (r.status, r.nodes) == (SearchStatus.NONE, 3_021)
+    assert (r.status, r.nodes) == (SearchStatus.NONE, 3_068)
     assert reference_induced_embedding(fano_plane(), r.plane, 10**7) == (
         SearchStatus.NONE, None, 318_890)
 
@@ -114,10 +116,35 @@ def test_fano_into_order_3_is_unknown_below_its_total(budget):
 
 
 def test_fano_into_order_5_is_none():
-    # the pairwise search is still UNKNOWN after 10,000,000 nodes
+    # the pairwise search is still UNKNOWN after 10,000,000 nodes; the
+    # plane search takes 4,086 of the 80,889
     clear_plane_cache()
     r = embed_in_finite_plane(fano_plane(), 5)
-    assert (r.status, r.nodes) == (SearchStatus.NONE, 76_803)
+    assert (r.status, r.nodes) == (SearchStatus.NONE, 80_889)
+
+
+def test_cold_plane_search_is_charged_to_the_budget():
+    clear_plane_cache()
+    r = embed_in_finite_plane(fano_plane(), 3, node_budget=3_067)
+    assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, 3_067)
+    clear_plane_cache()
+    r = embed_in_finite_plane(fano_plane(), 3, node_budget=40)
+    assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, 40)
+
+
+@pytest.mark.parametrize("budget", [0, 3, 10, 17, 18, 30, 10**7])
+def test_general_search_spends_one_budget_across_orders(budget):
+    # order 1: 3 plane nodes, too small for the quadrangle; order 2: 14
+    # plane nodes and then the embedding
+    clear_plane_cache()
+    r = embed_search_general(quadrangle_structure(), node_budget=budget)
+    assert r.nodes <= budget
+    clear_plane_cache()
+    found = embed_in_finite_plane(quadrangle_structure(), 2)
+    if budget >= 3 + found.nodes:
+        assert (r.status, r.nodes) == (SearchStatus.FOUND, 3 + found.nodes)
+    else:
+        assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, budget)
 
 
 def test_tp2_candidate_counts_are_pinned():
