@@ -273,10 +273,11 @@ class StructureBuilder:
     incidence that would complete a K_{m,n}, unless guard=False.  Unguarded
     adds are for induced substructures and reducts (substructures of free
     structures are free), extensions, amalgams and pattern candidates (each
-    scans its result with ``is_kmn_free`` once), and document parsing (a
-    document may describe a non-free structure).  Completion steps do not
-    use the builder: they write the next stage directly (see
-    ``completion.complete_step``).
+    scans its result with ``is_kmn_free`` once), the fixed constructions in
+    ``gamma`` and found planes (free by the proof in each docstring), and
+    document parsing (a document may describe a non-free structure).
+    Completion steps do not use the builder: they write the next stage
+    directly (see ``completion.complete_step``).
     """
 
     def __init__(self, params: StructParams):
@@ -467,6 +468,9 @@ class CompletenessReport:
     witness: Optional[frozenset] = None
     count: Optional[int] = None
 
+    def __bool__(self) -> bool:
+        return self.passed
+
 
 def satisfies_complete(s: IncidenceStructure) -> CompletenessReport:
     """Does every m-set of points lie on exactly n-1 common lines, and every
@@ -571,7 +575,6 @@ def isomorphic_over(
     """
     if s1.params != s2.params:
         return IsoResult(None)
-    base = dict(base)
     for a, b in base.items():
         if a not in s1.elements() or b not in s2.elements():
             raise ParameterError("base map references unknown elements")
@@ -581,10 +584,9 @@ def isomorphic_over(
             )
     if len(set(base.values())) != len(base):
         raise ParameterError("base map is not injective")
-    # base must be a partial embedding: incidences among mapped elements agree
-    mapping: dict = {}
-    if not _match(s1, s2, sorted(base), lambda a, _: (base[a],), mapping)[0]:
+    if embedding_fault(s1, s2, base) is not None:
         return IsoResult(None, base_conflict=True)
+    mapping = dict(base)
 
     def keys(s):  # (is a point, degree) per element
         return [(srt is Sort.POINT, len(nb)) for srt, nb in zip(s._sorts, s._adj)]

@@ -411,7 +411,8 @@ def _closed(orbit: set, automorphisms: List[Dict[int, int]]) -> set:
 def embed_in_finite_plane(
     a: IncidenceStructure, order: int, node_budget: int = 10_000_000
 ) -> EmbedResult:
-    """Induced embedding of ``a`` into a plane of the given order.
+    """Induced embedding of a K-free (2, 2) structure ``a`` (checked here,
+    then searched by ``_embed``) into a plane of the given order.
 
     The plane comes from find_projective_plane (cached).  The embedding
     is injective, sort-preserving, and induced: incidence between image
@@ -424,6 +425,11 @@ def embed_in_finite_plane(
     free, wit = is_kmn_free(a)
     if not free:
         raise PreconditionError(f"input contains a complete grid: {wit}")
+    return _embed(a, order, node_budget)
+
+
+def _embed(a: IncidenceStructure, order: int, node_budget: int) -> EmbedResult:
+    """``embed_in_finite_plane`` after its checks, which the caller made."""
     cached = order in _plane_cache
     plane_result = find_projective_plane(order, node_budget)
     spent = 0 if cached else plane_result.nodes
@@ -480,7 +486,7 @@ def embed_search_general(
     for q in range(1, max_order + 1):
         if 2 * (q * q + q + 1) > max_elements:
             break
-        result = embed_in_finite_plane(a, q, node_budget - nodes)
+        result = _embed(a, q, node_budget - nodes)
         nodes += result.nodes
         attempted.append(q)
         if result.status is SearchStatus.FOUND:

@@ -220,12 +220,28 @@ def gamma(eta: BitString) -> GammaStructure:
     the new b-pairs; points c^{k+1}_i on {r4,s^k_1}, {r5,s^k_2},
     {r6,s^k_3}; then for bit 0 one line t^{k+1} through all three
     c-points, for bit 1 lines t^{k+1}_1 through c1,c2 and t^{k+1}_2
-    through c2,c3.  Every addition closes an open pair, so the guarded
-    builder doubles as a freeness proof of the construction.
+    through c2,c3.  Each new element closes open pairs (the c-points lie
+    on six distinct lines), while the newest element of a grid would join
+    two elements sharing its opposite corner: the structure is K_{2,2}-free
+    by construction, and the incidences skip the builder's guard.
     """
     bits = _parse_bits(eta)
     bld = StructureBuilder(StructParams(2, 2))
     prov: Dict[int, HTerm] = {}
+
+    def intersection_point(name: str, l1: int, l2: int) -> int:
+        p = bld.add_point(name)
+        bld.add_incidence(p, l1, guard=False)
+        bld.add_incidence(p, l2, guard=False)
+        prov[p] = HTerm.h(prov[l1], prov[l2])
+        return p
+
+    def connecting_line(name: str, *ps: int) -> int:
+        l = bld.add_line(name)
+        for p in ps:
+            bld.add_incidence(p, l, guard=False)
+        prov[l] = HTerm.h(prov[ps[0]], prov[ps[1]])
+        return l
 
     a = [bld.add_point(f"a{i}") for i in range(1, 5)]
     for i, e in enumerate(a):
@@ -234,27 +250,8 @@ def gamma(eta: BitString) -> GammaStructure:
     # connecting lines of the six point pairs, in the fixed order
     # {a1,a2}, {a1,a3}, {a1,a4}, {a2,a3}, {a2,a4}, {a3,a4}
     r_pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    r = []
-    for idx, (i, j) in enumerate(r_pairs):
-        l = bld.add_line(f"r{idx + 1}")
-        bld.add_incidence(a[i], l)
-        bld.add_incidence(a[j], l)
-        prov[l] = HTerm.h(prov[a[i]], prov[a[j]])
-        r.append(l)
-
-    def intersection_point(name: str, l1: int, l2: int) -> int:
-        p = bld.add_point(name)
-        bld.add_incidence(p, l1)
-        bld.add_incidence(p, l2)
-        prov[p] = HTerm.h(prov[l1], prov[l2])
-        return p
-
-    def connecting_line(name: str, p1: int, p2: int) -> int:
-        l = bld.add_line(name)
-        bld.add_incidence(p1, l)
-        bld.add_incidence(p2, l)
-        prov[l] = HTerm.h(prov[p1], prov[p2])
-        return l
+    r = [connecting_line(f"r{idx + 1}", a[i], a[j])
+         for idx, (i, j) in enumerate(r_pairs)]
 
     # level 0: intersection points of {r1,r6}, {r2,r5}, {r3,r4}, then
     # connecting lines of the b-pairs {1,2}, {1,3}, {2,3}
@@ -286,10 +283,7 @@ def gamma(eta: BitString) -> GammaStructure:
             intersection_point(f"c^{k}_3", r[5], s_prev[2]),
         ]
         if bit == 0:
-            t = bld.add_line(f"t^{k}")
-            for c in c_new:
-                bld.add_incidence(c, t)
-            prov[t] = HTerm.h(prov[c_new[0]], prov[c_new[1]])
+            connecting_line(f"t^{k}", *c_new)
         else:
             connecting_line(f"t^{k}_1", c_new[0], c_new[1])
             connecting_line(f"t^{k}_2", c_new[1], c_new[2])
@@ -424,7 +418,8 @@ def bm_witness(m: int, n: int) -> IncidenceStructure:
     incidences (a1,z), (b,z) and (w_i, a2), (w_i, c_j), (w_i, z) for all
     i, j.  The pair {a1, a2} is independent from {b, c-lines} over the
     empty set but not over the c-lines, because the w-points and z sit
-    in the closure once the c-lines are in the base.
+    in the closure once the c-lines are in the base.  Any m points include
+    a1 or b, whose only line is z: K_{m,n}-free, so the adds skip the guard.
     """
     if m < 2 or n < 2:
         raise ParameterError("the configuration needs m, n >= 2")
@@ -435,13 +430,13 @@ def bm_witness(m: int, n: int) -> IncidenceStructure:
     a2 = bld.add_line("a2")
     c = [bld.add_line(f"c{j}") for j in range(1, n)]
     z = bld.add_line("z")
-    bld.add_incidence(a1, z)
-    bld.add_incidence(b, z)
+    bld.add_incidence(a1, z, guard=False)
+    bld.add_incidence(b, z, guard=False)
     for wi in w:
-        bld.add_incidence(wi, a2)
+        bld.add_incidence(wi, a2, guard=False)
         for cj in c:
-            bld.add_incidence(wi, cj)
-        bld.add_incidence(wi, z)
+            bld.add_incidence(wi, cj, guard=False)
+        bld.add_incidence(wi, z, guard=False)
     return bld.build()
 
 
@@ -469,13 +464,14 @@ def tp2_pattern(m: int, n: int):
 
 
 def fano_plane() -> IncidenceStructure:
-    """The 7-point projective plane, via the difference set {1,2,4} mod 7."""
+    """The 7-point projective plane, via the difference set {1,2,4} mod 7.
+    Two points share one line, so the adds skip the builder's guard."""
     bld = StructureBuilder(StructParams(2, 2))
     pts = [bld.add_point(f"f{i}") for i in range(7)]
     for l in range(7):
         line = bld.add_line(f"g{l}")
         for d in (1, 2, 4):
-            bld.add_incidence(pts[(l + d) % 7], line)
+            bld.add_incidence(pts[(l + d) % 7], line, guard=False)
     return bld.build()
 
 
@@ -539,7 +535,11 @@ def nonfree_completion_probe(
     generated by the seed, and {a12, a13, a23, b, c1, c2, c3} with
     {r1, r2, r3, s12, s13, s23, t} is a Fano subplane, which free
     completion never contains; the returned certificate pins the
-    divergence down to connecting-line values on the c-triple.
+    divergence down to connecting-line values on the c-triple.  B0 is
+    K_{2,2}-free like stage J, so its adds skip the guard: a grid's
+    newest element meets two elements sharing its opposite corner, and
+    each new element meets only elements that share nothing (no a-point
+    is on three chosen lines, and the c-points lie on six lines).
     """
     if a.params != StructParams(2, 2):
         raise ParameterError("the probe runs at parameters (2, 2)")
@@ -624,13 +624,13 @@ def nonfree_completion_probe(
 
     bld = StructureBuilder.from_structure(s)
     b_pt = bld.add_point(_primed_name("b", bld._ids))
-    bld.add_incidence(b_pt, r[open_i])
-    bld.add_incidence(b_pt, r[6])
+    bld.add_incidence(b_pt, r[open_i], guard=False)
+    bld.add_incidence(b_pt, r[6], guard=False)
     s_lines = {}
     for label, anchor in (("s12", a12), ("s13", a13), ("s23", a23)):
         l = bld.add_line(_primed_name(label, bld._ids))
-        bld.add_incidence(anchor, l)
-        bld.add_incidence(b_pt, l)
+        bld.add_incidence(anchor, l, guard=False)
+        bld.add_incidence(b_pt, l, guard=False)
         s_lines[label] = l
     c_pts = []
     for i, (ri, sl) in enumerate(
@@ -638,12 +638,12 @@ def nonfree_completion_probe(
         start=1,
     ):
         c = bld.add_point(_primed_name(f"c{i}", bld._ids))
-        bld.add_incidence(c, ri)
-        bld.add_incidence(c, sl)
+        bld.add_incidence(c, ri, guard=False)
+        bld.add_incidence(c, sl, guard=False)
         c_pts.append(c)
     t = bld.add_line(_primed_name("t", bld._ids))
     for c in c_pts:
-        bld.add_incidence(c, t)
+        bld.add_incidence(c, t, guard=False)
     b0 = bld.build()
 
     names = {f"r{i + 1}": r[i] for i in range(7)}

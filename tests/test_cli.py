@@ -194,6 +194,25 @@ def test_quadrangle_completion_documents_are_pinned(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("gamma", "--eta", "0110"),
+     "2c1f3ecdd353c93cbbac436acfeb5a75c3c61cfc35df92d6f25d8d19904f91a4"),
+    (("gamma", "--eta", "1"),
+     "a701093d0d9faeeff3a0c4d14dc46b212f1a1cf49538f396cb0968d9682f808b"),
+    (("bm", "--m", "3", "--n", "4"),
+     "570a05d9cec15ff3b5ff5c09fd2e9ca6085fa9f0777eb437d5a65493e7f1b0eb"),
+    (("probe", "QUADRANGLE"),
+     "3c3def5cd5accc494400e35a0d37487880650e79c2eedc0e1adfbe8834e987da"),
+])
+def test_construction_documents_are_pinned(capsys, tmp_path, argv, digest):
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(quadrangle_structure()))
+    argv = tuple(str(f) if a == "QUADRANGLE" else a for a in argv)
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_completion_dot_output_is_unchanged(capsys, tmp_path):
     f = tmp_path / "q.json"
     f.write_text(emit_structure(quadrangle_structure()))

@@ -186,7 +186,7 @@ def test_triangle_is_complete_and_free():
 
 def test_completeness_failure_witness(quadrangle):
     rep = satisfies_complete(quadrangle)
-    assert not rep.passed
+    assert not rep.passed and not bool(rep)
     assert rep.witness_kind == "points"
     assert rep.witness == frozenset({0, 1})  # colex-first pair
     assert rep.count == 0

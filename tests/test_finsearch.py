@@ -16,6 +16,7 @@ from kmnfree import (
     isomorphic_over,
     satisfies_complete,
 )
+from kmnfree import finsearch
 from kmnfree.finsearch import clear_plane_cache
 
 from conftest import build
@@ -173,6 +174,18 @@ def test_general_plane_route(quadrangle):
     assert r.status is SearchStatus.FOUND
     assert r.detail == "embedded in the order-2 plane"
     check_induced(quadrangle, r.structure, r.embedding)
+
+
+def test_general_search_scans_its_input_once(monkeypatch, quadrangle):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return is_kmn_free(s)
+
+    monkeypatch.setattr(finsearch, "is_kmn_free", counted)
+    assert embed_search_general(quadrangle).status is SearchStatus.FOUND
+    assert calls == [quadrangle]
 
 
 def test_general_unknown_routes():

@@ -122,7 +122,7 @@ def test_prefix_embeds_induced():
 
 
 def test_invariants_small_members():
-    for k in range(3):
+    for k in range(5):
         for bits in itertools.product("01", repeat=k):
             rep = gamma_invariants(gamma("".join(bits)))
             assert rep.ok and not rep.failures, bits
@@ -304,7 +304,8 @@ def test_config_counts_scale():
         assert len(g.points) == m + 1
         assert len(g.lines) == n + 1
         assert g.incidence_count() == inc
-        assert is_kmn_free(g)[0]
+    for m, n in itertools.product(range(2, 6), repeat=2):
+        assert is_kmn_free(bm_witness(m, n))[0], (m, n)
     with pytest.raises(ParameterError):
         bm_witness(1, 2)
     with pytest.raises(ParameterError):
@@ -326,8 +327,20 @@ def test_fano_plane_shape():
     f = fano_plane()
     assert len(f.points) == 7 and len(f.lines) == 7
     assert all(len(f.neighbors(l)) == 3 for l in f.lines)
-    assert satisfies_complete(f).passed
+    rep = satisfies_complete(f)
+    assert rep.passed and bool(rep)
     assert is_kmn_free(f)[0]
+
+
+def test_fixed_constructions_skip_the_guard(monkeypatch):
+    # each is K-free by the proof in its docstring, so none asks the guard
+    def refuse(*_):
+        raise AssertionError("a fixed construction ran the guarded add")
+
+    monkeypatch.setattr(kmnfree.StructureBuilder, "completion_witness", refuse)
+    assert len(gamma("0110").structure) == 58
+    assert len(bm_witness(3, 4)) == 9
+    assert len(fano_plane()) == 14
 
 
 # ---------------------------------------------------------------------------
