@@ -38,6 +38,8 @@ from .core import (
     Sort,
     StructureBuilder,
     _primed_name,
+    _require_budgets,
+    _require_free,
     embedding_fault,
     induced,
     is_kmn_free,
@@ -120,15 +122,17 @@ def extension_witness(
     The anchor must realize the base part of the diagram exactly: same sorts,
     distinct elements, and incidences among anchor elements agreeing with the
     diagram's base incidences in both directions.  Only incidences touching a
-    fresh element are added, so K-freeness of the result follows from the
-    diagram's own freeness; it is re-verified defensively.
+    fresh element are added, copied from the diagram, so the anchor and the
+    fresh elements (the images) induce a copy of it.  The result is free: a
+    new grid has a fresh element (the host is free), say a point y.  Its n
+    lines lie on y, so are images, one of them fresh (y meets at most n-1
+    base lines: safety condition 2).  Its points lie on that line, so the
+    grid lies in the copy of the free diagram.  A fresh line is dual.
     """
     report = validate_safe_diagram(d)
     if not report:
         raise PreconditionError(f"diagram is not safe: {report.detail}")
-    ok, witness = is_kmn_free(s)
-    if not ok:
-        raise PreconditionError(f"host structure is not K-free: {witness}")
+    _require_free(s, "host structure")
     anchor = tuple(anchor)
     if len(anchor) != len(d.base_vars):
         raise PreconditionError(
@@ -146,19 +150,14 @@ def extension_witness(
     images = {}
     for y in d.ext_vars:
         images[y] = b.add_point() if dg.is_point(y) else b.add_line()
-    full = dict(pos)
-    full.update(images)
+    full = {**pos, **images}
     for y in d.ext_vars:
         for nb in sorted(dg.neighbors(y)):
             if nb in images and dg.is_line(y):
                 continue  # handled from the point side
             p, l = (y, nb) if dg.is_point(y) else (nb, y)
             b.add_incidence(full[p], full[l], guard=False)
-    out = b.build()
-    ok, witness = is_kmn_free(out)
-    if not ok:
-        raise FreenessViolationError(witness, "extension")
-    return Extension(out, images)
+    return Extension(b.build(), images)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +531,7 @@ def pattern_consistent(
     refuted partial assignment adds every assignment below it to the count
     at once.
     """
-    if candidate_budget < 0 or element_cap < 0:
-        raise ParameterError("budget must be >= 0")
+    _require_budgets(stage_budget, candidate_budget, element_cap)
     dg = pattern.diagram
     if dg.params != base.params:
         raise ParameterError("pattern diagram and base must share parameters")

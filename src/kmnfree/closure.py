@@ -21,7 +21,9 @@ from enum import Enum
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
-from .core import IncidenceStructure, ParameterError, Sort, colex_combinations
+from .core import (
+    IncidenceStructure, ParameterError, Sort, _require_budgets, colex_combinations,
+)
 
 
 class Ternary(Enum):
@@ -54,8 +56,7 @@ class ClosureRun:
 def _checked(ambient, elems: Iterable[int], budget: Optional[int] = None) -> frozenset:
     """``elems`` as a frozenset, after checking that they are ids of the
     ambient and that the stage ``budget`` (None for none) is not negative."""
-    if budget is not None and budget < 0:
-        raise ParameterError("budget must be >= 0")
+    _require_budgets(budget)
     out = frozenset(elems)
     ids = range(len(ambient))
     for e in out:

@@ -52,10 +52,11 @@ from .core import (
     Sort,
     StructureBuilder,
     _default_name,
+    _require_budgets,
+    _require_free,
     colex_combinations,
     embedding_fault,
     induced,
-    is_kmn_free,
 )
 
 
@@ -127,9 +128,7 @@ def _deficient(s: IncidenceStructure, room: float = float("inf")) -> DeficientSe
 
 def deficient_sets(s: IncidenceStructure) -> DeficientSets:
     """All deficient point m-sets and line n-sets, in colex order."""
-    ok, witness = is_kmn_free(s)
-    if not ok:
-        raise PreconditionError(f"structure is not K-free: {witness}")
+    _require_free(s, "structure")
     return _deficient(s)
 
 
@@ -151,9 +150,7 @@ def complete_step(stage: CompletionStage) -> CompletionStage:
     m-set), so sigma now has at most n-1 common lines, fewer than n.  The
     dual argument rules out a fresh point.
     """
-    ok, witness = is_kmn_free(stage.structure)
-    if not ok:
-        raise PreconditionError(f"stage structure is not K-free: {witness}")
+    _require_free(stage.structure, "stage structure")
     return _step(stage, _deficient(stage.structure))
 
 
@@ -221,11 +218,8 @@ def free_completion(
     iteration stops early (the run is padded with stages sharing the
     fixpoint's structure so stage indices still line up).
     """
-    if stages < 0:
-        raise ParameterError("stage count must be >= 0")
-    ok, witness = is_kmn_free(m0)
-    if not ok:
-        raise PreconditionError(f"seed structure is not K-free: {witness}")
+    _require_budgets(stages, element_cap)
+    _require_free(m0, "seed structure")
     run = list(islice(_stages(m0, element_cap), stages + 1))
     fix = run[-1]  # the fixpoint, if the run ends early
     run += [CompletionStage(fix.structure, k, fix.sizes + fix.sizes[-1:] * (k - fix.k))
@@ -346,9 +340,8 @@ class LazyCompletion:
     """
 
     def __init__(self, base: IncidenceStructure, element_cap: int = 100_000):
-        ok, witness = is_kmn_free(base)
-        if not ok:
-            raise PreconditionError(f"ambient structure is not K-free: {witness}")
+        _require_budgets(element_cap)
+        _require_free(base, "ambient structure")
         self.base = base
         self.params = base.params
         self.builder = StructureBuilder.from_structure(base)

@@ -54,6 +54,12 @@ class BudgetError(RuntimeError):
     """A stage or element budget was exhausted before the answer was known."""
 
 
+def _require_budgets(*budgets) -> None:
+    """ParameterError unless every budget given (None for none) is >= 0."""
+    if any(b is not None and b < 0 for b in budgets):
+        raise ParameterError("budget must be >= 0")
+
+
 @dataclass(frozen=True)
 class StructParams:
     """The forbidden-configuration parameters: no m points on n common lines."""
@@ -272,8 +278,8 @@ class StructureBuilder:
     Incidence adds are guarded: add_incidence refuses (with a witness) any
     incidence that would complete a K_{m,n}, unless guard=False.  Unguarded
     adds are for induced substructures and reducts (substructures of free
-    structures are free), extensions, amalgams and pattern candidates (each
-    scans its result with ``is_kmn_free`` once), the fixed constructions in
+    structures are free), amalgams and pattern candidates (each scans its
+    result with ``is_kmn_free`` once), extensions, the fixed constructions in
     ``gamma`` and found planes (free by the proof in each docstring), and
     document parsing (a document may describe a non-free structure).
     Completion steps do not use the builder: they write the next stage
@@ -446,6 +452,13 @@ def is_kmn_free(s: IncidenceStructure):
                     lines=frozenset(sorted(common)[:n]),
                 )
     return True, None
+
+
+def _require_free(s: IncidenceStructure, what: str) -> None:
+    """PreconditionError naming a grid of ``s``, called ``what``, if any."""
+    ok, witness = is_kmn_free(s)
+    if not ok:
+        raise PreconditionError(f"{what} is not K-free: {witness}")
 
 
 def common_neighbors(s: IncidenceStructure, ys: Iterable[int]) -> frozenset:

@@ -32,12 +32,12 @@ from .core import (
     BudgetError,
     IncidenceStructure,
     ParameterError,
-    PreconditionError,
     StructParams,
     StructureBuilder,
     _match,
     _on_mapped_neighbours,
-    is_kmn_free,
+    _require_budgets,
+    _require_free,
     satisfies_complete,
 )
 from .completion import _stages
@@ -266,6 +266,7 @@ def find_projective_plane(
     reused by the embedding searches.  UNKNOWN means the node budget ran
     out before the space was exhausted.
     """
+    _require_budgets(node_budget)
     if symmetry_breaking and order in _plane_cache:
         return _plane_cache[order]
     search = _PlaneSearch(order, node_budget, canonical=symmetry_breaking)
@@ -292,6 +293,7 @@ def enumerate_projective_planes(
     node budget (or ``limit``) cut the enumeration short, in which case
     the list is a prefix of the full solution set.
     """
+    _require_budgets(node_budget)
     search = _PlaneSearch(order, node_budget, canonical=True)
     search.run(first_only=False, limit=limit)
     planes = [search.to_structure(sol) for sol in search.solutions]
@@ -422,9 +424,7 @@ def embed_in_finite_plane(
     """
     if a.params != StructParams(2, 2):
         raise ParameterError("plane embedding is a (2, 2) operation")
-    free, wit = is_kmn_free(a)
-    if not free:
-        raise PreconditionError(f"input contains a complete grid: {wit}")
+    _require_free(a, "input")
     return _embed(a, order, node_budget)
 
 
@@ -457,9 +457,8 @@ def embed_search_general(
     completion has converged when its stages end within 64 steps.  Each
     order gets the node budget the earlier orders left.
     """
-    free, wit = is_kmn_free(a)
-    if not free:
-        raise PreconditionError(f"input contains a complete grid: {wit}")
+    _require_budgets(max_elements, node_budget)
+    _require_free(a, "input")
 
     try:
         *_, final = islice(_stages(a, max_elements), 66)

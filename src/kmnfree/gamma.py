@@ -37,11 +37,12 @@ from .core import (
     BudgetError,
     IncidenceStructure,
     ParameterError,
-    PreconditionError,
     Sort,
     StructParams,
     StructureBuilder,
     _primed_name,
+    _require_budgets,
+    _require_free,
     common_neighbors,
     embedding_fault,
     induced,
@@ -50,7 +51,6 @@ from .core import (
     satisfies_complete,
 )
 from .completion import LazyCompletion, _stages
-from .closure import Ternary, generates
 
 __all__ = [
     "HTerm",
@@ -309,6 +309,10 @@ def gamma_invariants(g: GammaStructure) -> GammaReport:
     under ambient closure; the six designated line pairs at the top
     level are open; element and incidence counts match the closed forms
     |P| = 7 + 6k, |L| = 9 + sum(4 + bit), |I| = 24 + sum(21 + bit).
+    Generation is shown in one pass along ``term_provenance``, in id
+    order: a leaf's element is the a-point it names, and an inner term's
+    element is forced by its two distinct argument elements, both older
+    and so generated already (the pass stops at the first fault).
     """
     s = g.structure
     failures = []
@@ -340,11 +344,17 @@ def gamma_invariants(g: GammaStructure) -> GammaReport:
         if trouble:
             failures.append(f"prefix {g.eta[:cut]}: {trouble}")
 
-    seed = frozenset(s.by_name(f"a{i}") for i in range(1, 5))
-    verdict, missing = generates(s, seed, frozenset(s.elements()))
-    if verdict is not Ternary.YES:
-        shown = sorted(s.name(e) for e in missing)[:4]
-        failures.append(f"generation: closure of a1..a4 misses {shown}")
+    of_term = {id(t): e for e, t in g.term_provenance.items()}
+    for e in s.elements():
+        t = g.term_provenance.get(e)
+        if t is None or t.is_leaf:
+            ok = t is not None and s.name(e) == f"a{t.var + 1}"
+        else:
+            x, y = of_term.get(id(t.left), e), of_term.get(id(t.right), e)
+            ok = x != y and max(x, y) < e and e in s.forced(sorted((x, y)))
+        if not ok:
+            failures.append(f"generation: {s.name(e)!r} does not follow from its term")
+            break
 
     open_pairs = [
         ("r1", f"s^{k}_3"),
@@ -543,9 +553,8 @@ def nonfree_completion_probe(
     """
     if a.params != StructParams(2, 2):
         raise ParameterError("the probe runs at parameters (2, 2)")
-    free, witness = is_kmn_free(a)
-    if not free:
-        raise PreconditionError(f"structure is not K-free: {witness}")
+    _require_budgets(stage_budget, element_cap, search_budget)
+    _require_free(a, "structure")
     if satisfies_complete(a).passed:  # a free seed is complete iff nothing is deficient
         return ProbeResult(False, reason="no deficiencies")
 

@@ -42,6 +42,7 @@ from .core import (
     IncidenceStructure,
     ParameterError,
     Sort,
+    _require_budgets,
     induced,
     isomorphic_over,
 )
@@ -82,8 +83,7 @@ class IndepQuery:
     d_bound: int = 16  # max |closure(BC) - C| enumerated by DIV
 
     def __post_init__(self):
-        if self.element_cap < 0 or self.d_bound < 0:
-            raise ParameterError("budget must be >= 0")
+        _require_budgets(self.stage_budget, self.element_cap, self.d_bound)
         elems = self.ambient.elements()
         for label, part in (("A", self.a), ("B", self.b), ("C", self.c)):
             for e in part:

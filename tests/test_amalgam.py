@@ -1,5 +1,6 @@
 """Safe diagrams, free amalgamation, independent gluing, pattern search."""
 
+import itertools
 import random
 
 import pytest
@@ -13,16 +14,19 @@ from kmnfree import (
     PatternStatus,
     PreconditionError,
     SafeDiagram,
+    Sort,
     StructParams,
     StructureBuilder,
     extension_witness,
     free_amalgam,
     independence_glue,
+    induced,
     is_i_closed,
     is_kmn_free,
     isomorphic_over,
     pattern_consistent,
 )
+from kmnfree import amalgam, core
 from kmnfree.amalgam import validate_safe_diagram
 
 from conftest import build, random_free_structure
@@ -207,6 +211,74 @@ def test_extension_witness_rejects_unsafe_diagram(quadrangle):
     d = SafeDiagram(dg, (0, 1), (dg.by_name("w"),))
     with pytest.raises(PreconditionError):
         extension_witness(quadrangle, [0, 1], d)
+
+
+def brute_force_free(s):
+    """No m points with n common lines, by trying every m-set of points."""
+    m, n = s.params.m, s.params.n
+    return all(len(frozenset.intersection(*map(s.neighbors, sigma))) < n
+               for sigma in itertools.combinations(s.points, m))
+
+
+def random_safe_extension(rng, host):
+    """A random anchor in ``host`` and a safe diagram whose base part is the
+    host induced on it; fresh elements meet at most n-1 base lines or m-1
+    base points, and each other at random, added through the guard."""
+    m, n = host.params.m, host.params.n
+    anchor = rng.sample(list(host.elements()), rng.randint(0, min(5, len(host))))
+    b = StructureBuilder(host.params)
+    for a in anchor:
+        (b.add_point if host.is_point(a) else b.add_line)()
+    for i, a in enumerate(anchor):
+        for j, c in enumerate(anchor):
+            if host.is_point(a) and host.incident(a, c):
+                b.add_incidence(i, j, guard=False)
+    base = range(len(anchor))
+    fresh = [b.add_point() if rng.random() < 0.5 else b.add_line()
+             for _ in range(rng.randint(1, 4))]
+    for y in fresh:
+        point = b.sort(y) is Sort.POINT
+        opposite = [x for x in base if (b.sort(x) is Sort.POINT) != point]
+        most = n - 1 if point else m - 1
+        targets = rng.sample(opposite, rng.randint(0, min(most, len(opposite))))
+        targets += [z for z in fresh if (b.sort(z) is Sort.POINT) != point
+                    and z > y and rng.random() < 0.5]
+        for x in targets:
+            try:
+                b.add_incidence(*((y, x) if point else (x, y)))
+            except FreenessViolationError:
+                pass
+    return anchor, SafeDiagram(b.build(), tuple(base), tuple(fresh))
+
+
+def test_extension_witness_randomized_is_free_and_keeps_the_host():
+    rng = random.Random(14014)
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        host = random_free_structure(rng, m, n, max_elements=9)
+        before = StructureBuilder.from_structure(host).build()
+        anchor, d = random_safe_extension(rng, host)
+        assert validate_safe_diagram(d)
+        ext = extension_witness(host, anchor, d)
+        out = ext.structure
+        assert brute_force_free(out)
+        assert host == before
+        assert induced(out, host.elements())[0] == host
+        assert sorted(ext.ext_images.values()) == list(range(len(host), len(out)))
+
+
+def test_extension_witness_scans_the_diagram_and_the_host_once(monkeypatch, quadrangle):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return is_kmn_free(s)
+
+    monkeypatch.setattr(core, "is_kmn_free", counted)
+    monkeypatch.setattr(amalgam, "is_kmn_free", counted)
+    d = flag_diagram()
+    extension_witness(quadrangle, [0], d)
+    assert calls == [d.structure, quadrangle]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from kmnfree import (
     isomorphic_over,
     satisfies_complete,
 )
-from kmnfree import finsearch
+from kmnfree import core
 from kmnfree.finsearch import clear_plane_cache
 
 from conftest import build
@@ -183,7 +183,7 @@ def test_general_search_scans_its_input_once(monkeypatch, quadrangle):
         calls.append(s)
         return is_kmn_free(s)
 
-    monkeypatch.setattr(finsearch, "is_kmn_free", counted)
+    monkeypatch.setattr(core, "is_kmn_free", counted)
     assert embed_search_general(quadrangle).status is SearchStatus.FOUND
     assert calls == [quadrangle]
 

@@ -144,6 +144,16 @@ def test_invariants_flag_damage():
     rep = gamma_invariants(broken)
     assert not rep.ok
     assert any("counts" in f for f in rep.failures)
+    assert any("generation" in f for f in rep.failures)
+
+
+def test_invariants_prove_generation_without_closure(monkeypatch):
+    # generation is read along the term provenance, not by running closures
+    def refuse(*_):
+        raise AssertionError("gamma_invariants ran a closure step")
+
+    monkeypatch.setattr(kmnfree.closure, "_step", refuse)
+    assert gamma_invariants(gamma("0110")).ok
 
 
 def test_separating_small():

@@ -8,10 +8,11 @@ For each seed, ``perfbench/run.py`` runs once in each checkout, for the
 first on even-numbered pairs and the change first on odd ones.  A run that
 exits non-zero (a wrong answer or an error) stops the whole campaign.  The
 final JSON line of every run is appended to ``--out`` (created if missing)
-with its workload, seed, side, position in the pair and ``--tag``.
-Afterwards the summary of every workload and tag in the file is recomputed:
-per metric and side, the median and quartiles, and how many pairs the
-change won.
+with its workload, seed, side, position in the pair, ``--tag`` and round
+count (perfbench's ``rounds N untraced`` line).  Afterwards the summary of
+every workload and tag in the file is recomputed: per metric and side, the
+median and quartiles, and how many pairs the change won; and per side the
+median round count, since ``peak_rss_mb`` grows with the rounds a run keeps.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -37,7 +39,8 @@ def run_once(tree, workload, seed, trace):
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: perfbench exited {proc.returncode}\n"
                          f"{proc.stdout}{proc.stderr}")
-    return json.loads(lines[-1])
+    rounds = re.search(r"rounds (\d+) untraced", proc.stdout)
+    return json.loads(lines[-1]), rounds and int(rounds.group(1))
 
 
 def quartiles(xs):
@@ -53,13 +56,17 @@ def summarize(runs):
         pairs = {}
         for r in runs:
             if (r["workload"], r["tag"]) == key and r["trace"] == 0:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+                pairs.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in pairs.values() if len(p) == 2]
         if not pairs:
             continue
         table = {"pairs": len(pairs)}
-        for name in pairs[0]["parent"]["metrics"]:
-            vals = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+        rounds = {side: [p[side]["rounds"] for p in pairs if p[side].get("rounds")]
+                  for side in ("parent", "change")}
+        if all(rounds.values()):
+            table["rounds"] = {side: statistics.median(v) for side, v in rounds.items()}
+        for name in pairs[0]["parent"]["result"]["metrics"]:
+            vals = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
                     for side in ("parent", "change")}
             sign = -1 if name in LOWER_IS_BETTER else 1
             wins = sum(1 for a, b in zip(vals["parent"], vals["change"])
@@ -91,11 +98,11 @@ def main(argv=None):
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for pos, side in enumerate(order):
-            result = run_once(trees[side], args.workload, seed, args.trace)
+            result, rounds = run_once(trees[side], args.workload, seed, args.trace)
             doc["runs"].append({"workload": args.workload, "seed": seed,
-                                "trace": args.trace, "tag": args.tag,
-                                "side": side, "first": pos == 0, "result": result})
-            print(f"{args.workload} seed {seed} {side}: "
+                                "trace": args.trace, "tag": args.tag, "side": side,
+                                "first": pos == 0, "rounds": rounds, "result": result})
+            print(f"{args.workload} seed {seed} {side} ({rounds} rounds): "
                   + json.dumps({k: round(v["value"], 4)
                                 for k, v in result["metrics"].items()
                                 if args.trace == 0}), flush=True)
