@@ -691,14 +691,14 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
 
     def add(name: str, run: Callable[[argparse.Namespace], int], help_: str,
-            emit: bool = False, nodes: str = "search node budget") -> _Parser:
+            emit: bool = False, nodes: str = "search node budget",
+            stages: int = 8, elements: int = 100_000) -> _Parser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(run=run)
-        p.add_argument("--stages", type=int, default=None,
-                       help="stage budget (default 8)")
-        p.add_argument("--elements", type=int, default=None,
-                       help="element cap for workspaces (default 100000; "
-                            "200 for embed's completion route)")
+        p.add_argument("--stages", type=int, default=stages,
+                       help=f"stage budget (default {stages})")
+        p.add_argument("--elements", type=int, default=elements,
+                       help=f"element cap for workspaces (default {elements})")
         p.add_argument("--nodes", "--budget", dest="nodes", type=int,
                        default=10_000_000,
                        help=f"{nodes} (default 10000000)")
@@ -777,7 +777,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--rel", default="i", choices=("a", "i"))
 
-    p = add("pattern", _cmd_pattern, "existential-pattern consistency over a sequence")
+    p = add("pattern", _cmd_pattern, "existential-pattern consistency over a sequence",
+            stages=1)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--instances", type=int, required=True,
@@ -790,17 +791,13 @@ def _build_parser() -> _Parser:
 
     p = add("embed", _cmd_embed, "embed a structure in a finite plane or completion",
             nodes="node budget shared by the plane search and the embedding "
-                  "(each image tried is a node, automorphism search included)")
+                  "(each image tried is a node, automorphism search included)",
+            elements=200)
     p.add_argument("file")
     p.add_argument("--order", type=int, default=None,
                    help="target plane order; omit to search completions")
 
     return top
-
-
-# commands whose natural budgets differ from the global defaults
-_STAGE_DEFAULTS = {"pattern": 1}
-_ELEMENT_DEFAULTS = {"embed": 200}
 
 
 def dispatch(argv: Sequence[str]) -> int:
@@ -810,10 +807,6 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        if getattr(args, "stages", None) is None:
-            args.stages = _STAGE_DEFAULTS.get(args.command, 8)
-        if getattr(args, "elements", None) is None:
-            args.elements = _ELEMENT_DEFAULTS.get(args.command, 100_000)
         budgets = ("stages", "elements", "nodes", "d_bound")
         if any((getattr(args, b, None) or 0) < 0 for b in budgets):
             raise UsageError("budget must be >= 0")

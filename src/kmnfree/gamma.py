@@ -37,7 +37,6 @@ from .core import (
     BudgetError,
     IncidenceStructure,
     ParameterError,
-    Sort,
     StructParams,
     StructureBuilder,
     _primed_name,
@@ -50,6 +49,7 @@ from .core import (
     isomorphic_over,
     satisfies_complete,
 )
+from .amalgam import ExistentialPattern
 from .completion import LazyCompletion, _stages
 
 __all__ = [
@@ -128,7 +128,9 @@ def h_eval(work: LazyCompletion, x: int, y: int) -> int:
     lines: the unique point on both.  Anything else (equal arguments or
     mixed sorts) evaluates to x.  Missing values are spawned by a single
     targeted completion step, so the only budget in play is the
-    workspace's element cap.
+    workspace's element cap.  The checks here are those of
+    ``lines_through`` and ``points_on``, so the value is read by
+    ``work.forced`` directly.
     """
     if work.params != StructParams(2, 2):
         raise ParameterError("H is only defined at parameters (2, 2)")
@@ -138,10 +140,7 @@ def h_eval(work: LazyCompletion, x: int, y: int) -> int:
     if x == y or work.sort(x) is not work.sort(y):
         # the "otherwise" branch of the definition; also covers mixed sorts
         return x
-    if work.sort(x) is Sort.POINT:
-        (value,) = work.lines_through((x, y))
-    else:
-        (value,) = work.points_on((x, y))
+    (value,) = work.forced(sorted((x, y)))
     return value
 
 
@@ -309,6 +308,15 @@ def gamma_invariants(g: GammaStructure) -> GammaReport:
     under ambient closure; the six designated line pairs at the top
     level are open; element and incidence counts match the closed forms
     |P| = 7 + 6k, |L| = 9 + sum(4 + bit), |I| = 24 + sum(21 + bit).
+
+    Only the longest proper prefix, ``gamma(eta[:-1])``, is built and
+    checked.  ``gamma`` adds level after level, and every add of a level
+    is an element new at that level or an incidence touching one, so each
+    shorter prefix is the induced substructure of the longest one on its
+    first ids, name for name.  A restriction of an induced embedding is
+    induced, so the longest prefix embedding name-for-name shows it for
+    all of them.
+
     Generation is shown in one pass along ``term_provenance``, in id
     order: a leaf's element is the a-point it names, and an inner term's
     element is forced by its two distinct argument elements, both older
@@ -334,15 +342,16 @@ def gamma_invariants(g: GammaStructure) -> GammaReport:
             f"counts: {s.incidence_count()} incidences, expected {want_i}"
         )
 
-    # proper prefixes embed name-for-name with no extra incidences among them
-    for cut in range(k):
-        ps = gamma(g.eta[:cut]).structure
+    # the longest proper prefix, and so every shorter one, embeds
+    # name-for-name with no extra incidences among its elements
+    if k:
+        ps = gamma(g.eta[:-1]).structure
         missing = [nm for nm in ps.names(ps.elements()) if not s.has_name(nm)]
         trouble = (f"missing element {missing[0]}" if missing else
                    embedding_fault(ps, s, {e: s.by_name(ps.name(e))
                                            for e in ps.elements()}))
         if trouble:
-            failures.append(f"prefix {g.eta[:cut]}: {trouble}")
+            failures.append(f"prefix {g.eta[:-1]}: {trouble}")
 
     of_term = {id(t): e for e, t in g.term_provenance.items()}
     for e in s.elements():
@@ -356,15 +365,8 @@ def gamma_invariants(g: GammaStructure) -> GammaReport:
             failures.append(f"generation: {s.name(e)!r} does not follow from its term")
             break
 
-    open_pairs = [
-        ("r1", f"s^{k}_3"),
-        ("r2", f"s^{k}_2"),
-        ("r3", f"s^{k}_1"),
-        ("r4", f"s^{k}_1"),
-        ("r5", f"s^{k}_2"),
-        ("r6", f"s^{k}_3"),
-    ]
-    for n1, n2 in open_pairs:
+    for i, j in zip(range(1, 7), (3, 2, 1, 1, 2, 3)):
+        n1, n2 = f"r{i}", f"s^{k}_{j}"
         if not (s.has_name(n1) and s.has_name(n2)):
             failures.append(f"open pairs: element {n1} or {n2} missing")
             continue
@@ -460,8 +462,6 @@ def tp2_pattern(m: int, n: int):
     base, while (m+1)(n-1) instances over a pairwise independent
     parameter sequence are jointly unsatisfiable (3 at (2,2)).
     """
-    from .amalgam import ExistentialPattern
-
     g = bm_witness(m, n)
     shared = (g.by_name("a1"), g.by_name("a2"))
     params = (g.by_name("b"),) + tuple(g.by_name(f"c{j}") for j in range(1, n))
@@ -493,11 +493,11 @@ class ProbeCertificate:
     through the one added line t (``shared_line``, an id in the probe
     structure); on the free side the three pairs get three distinct
     connecting lines (``free_lines``, ids in ``free_side``, the free
-    workspace over stage J after the forced construction without t and
-    those three connections).  The two sides are not size-matched: the
-    free side has two more lines (56 elements against 54 for the
-    quadrangle), so the isomorphism search over the seed elements, which
-    keep their ids in both structures, fails on element counts alone;
+    workspace over B0 without t after those three connections; below
+    ``len(b0) - 1`` its ids and names are B0's).  The two sides are not
+    size-matched: the free side has two more lines (56 elements against 54
+    for the quadrangle), so the isomorphism search over the seed elements,
+    which keep their ids in both structures, fails on element counts alone;
     ``iso_over_seed`` records its result.
     """
 
@@ -545,11 +545,18 @@ def nonfree_completion_probe(
     generated by the seed, and {a12, a13, a23, b, c1, c2, c3} with
     {r1, r2, r3, s12, s13, s23, t} is a Fano subplane, which free
     completion never contains; the returned certificate pins the
-    divergence down to connecting-line values on the c-triple.  B0 is
-    K_{2,2}-free like stage J, so its adds skip the guard: a grid's
-    newest element meets two elements sharing its opposite corner, and
-    each new element meets only elements that share nothing (no a-point
-    is on three chosen lines, and the c-points lie on six lines).
+    divergence down to connecting-line values on the c-triple.
+
+    The forced part, B0 without t, is built once: it is the base of the
+    certificate's free workspace, which spawns only the three c-pair
+    lines and scans the forced part for grids as every workspace scans
+    its base.  Its adds skip the guard all the same: a grid's newest
+    element meets two elements sharing its opposite corner, and each new
+    element meets only elements that share nothing (no a-point is on
+    three chosen lines).  B0 is then free by proof, and nothing scans it
+    at run time: a grid of B0 would use t, so two of the c-points would
+    share a second line, but they lie on six distinct lines.  The probe
+    side is read from B0 itself, where each c-pair forces t alone.
     """
     if a.params != StructParams(2, 2):
         raise ParameterError("the probe runs at parameters (2, 2)")
@@ -623,106 +630,60 @@ def nonfree_completion_probe(
     r = list(chosen)
     open_i = next(i for i in (3, 4, 5) if not meets(r[i], r[6]))
 
-    def meet_point(l1: int, l2: int) -> int:
-        (p,) = nbrs[l1] & nbrs[l2]
-        return p
-
-    a12 = meet_point(r[0], r[1])
-    a13 = meet_point(r[0], r[2])
-    a23 = meet_point(r[1], r[2])
+    (a12,), (a13,), (a23,) = (nbrs[x] & nbrs[y] for x, y in
+                              ((r[0], r[1]), (r[0], r[2]), (r[1], r[2])))
 
     bld = StructureBuilder.from_structure(s)
-    b_pt = bld.add_point(_primed_name("b", bld._ids))
-    bld.add_incidence(b_pt, r[open_i], guard=False)
-    bld.add_incidence(b_pt, r[6], guard=False)
-    s_lines = {}
-    for label, anchor in (("s12", a12), ("s13", a13), ("s23", a23)):
+
+    def point(label: str, *on: int) -> int:
+        p = bld.add_point(_primed_name(label, bld._ids))
+        for l in on:
+            bld.add_incidence(p, l, guard=False)
+        return p
+
+    def line(label: str, *through: int) -> int:
         l = bld.add_line(_primed_name(label, bld._ids))
-        bld.add_incidence(anchor, l, guard=False)
-        bld.add_incidence(b_pt, l, guard=False)
-        s_lines[label] = l
-    c_pts = []
-    for i, (ri, sl) in enumerate(
-        ((r[0], s_lines["s23"]), (r[1], s_lines["s13"]), (r[2], s_lines["s12"])),
-        start=1,
-    ):
-        c = bld.add_point(_primed_name(f"c{i}", bld._ids))
-        bld.add_incidence(c, ri, guard=False)
-        bld.add_incidence(c, sl, guard=False)
-        c_pts.append(c)
-    t = bld.add_line(_primed_name("t", bld._ids))
-    for c in c_pts:
-        bld.add_incidence(c, t, guard=False)
+        for p in through:
+            bld.add_incidence(p, l, guard=False)
+        return l
+
+    b_pt = point("b", r[open_i], r[6])
+    s12 = line("s12", a12, b_pt)
+    s13 = line("s13", a13, b_pt)
+    s23 = line("s23", a23, b_pt)
+    c_pts = [point("c1", r[0], s23), point("c2", r[1], s13), point("c3", r[2], s12)]
+    forced_part = bld.build()
+    t = line("t", *c_pts)
     b0 = bld.build()
 
     names = {f"r{i + 1}": r[i] for i in range(7)}
-    names.update(
-        {
-            "r_open": r[open_i],
-            "a12": a12,
-            "a13": a13,
-            "a23": a23,
-            "b": b_pt,
-            "s12": s_lines["s12"],
-            "s13": s_lines["s13"],
-            "s23": s_lines["s23"],
-            "c1": c_pts[0],
-            "c2": c_pts[1],
-            "c3": c_pts[2],
-            "t": t,
-        }
-    )
-    witness = frozenset(
-        [a12, a13, a23, b_pt, *c_pts, r[0], r[1], r[2], *s_lines.values(), t]
-    )
+    names.update(r_open=r[open_i], a12=a12, a13=a13, a23=a23, b=b_pt, s12=s12,
+                 s13=s13, s23=s23, c1=c_pts[0], c2=c_pts[1], c3=c_pts[2], t=t)
+    witness = frozenset([a12, a13, a23, b_pt, *c_pts, *r[:3], s12, s13, s23, t])
     if len(witness) != 14:
         raise RuntimeError("postcondition failure: witness elements collide")
     sub, _ = induced(b0, witness)
     if not isomorphic_over(sub, fano_plane(), {}):
         raise RuntimeError("postcondition failure: witness is not a Fano subplane")
 
-    # divergence certificate: redo the forced part of the construction in a
-    # free workspace over stage J (no t), where the c-triple cannot be
-    # collinear, then fail the isomorphism search over the seed.
-    wa = LazyCompletion(s, element_cap=element_cap)
-    (b_f,) = wa.points_on((r[open_i], r[6]))
-    (s12_f,) = wa.lines_through((a12, b_f))
-    (s13_f,) = wa.lines_through((a13, b_f))
-    (s23_f,) = wa.lines_through((a23, b_f))
-    (c1_f,) = wa.points_on((r[0], s23_f))
-    (c2_f,) = wa.points_on((r[1], s13_f))
-    (c3_f,) = wa.points_on((r[2], s12_f))
+    # divergence certificate: in a free workspace over B0 without t the
+    # c-triple cannot be collinear, while in B0 each c-pair forces t alone;
+    # then fail the isomorphism search over the seed.
+    wa = LazyCompletion(forced_part, element_cap=element_cap)
     free_lines = []
-    for pair in ((c1_f, c2_f), (c1_f, c3_f), (c2_f, c3_f)):
+    for pair in ((c_pts[0], c_pts[1]), (c_pts[0], c_pts[2]), (c_pts[1], c_pts[2])):
         (l,) = wa.lines_through(pair)
         free_lines.append(l)
+        if b0.forced(pair) != {t}:
+            raise RuntimeError("postcondition failure: probe side is not collinear")
     if len(set(free_lines)) != 3:
         raise RuntimeError("postcondition failure: free side merged a connection")
 
-    wb = LazyCompletion(b0, element_cap=element_cap)
-    for pair in ((c_pts[0], c_pts[1]), (c_pts[0], c_pts[2]), (c_pts[1], c_pts[2])):
-        (l,) = wb.lines_through(pair)
-        if l != t:
-            raise RuntimeError("postcondition failure: probe side is not collinear")
-
     free_side = wa.snapshot()
-    seed_map = {e: e for e in a.elements()}
-    iso = isomorphic_over(wb.snapshot(), free_side, seed_map)
+    iso = isomorphic_over(b0, free_side, {e: e for e in a.elements()})
 
-    certificate = ProbeCertificate(
-        shared_line=t,
-        free_lines=tuple(free_lines),
-        free_side=free_side,
-        iso_over_seed=bool(iso),
-    )
-    if certificate.iso_over_seed:
+    if iso:
         raise RuntimeError("postcondition failure: completions are isomorphic")
-
-    return ProbeResult(
-        True,
-        b0=b0,
-        fano_witness=witness,
-        names=names,
-        working_stage=working.k,
-        certificate=certificate,
-    )
+    certificate = ProbeCertificate(t, tuple(free_lines), free_side, iso_over_seed=False)
+    return ProbeResult(True, b0=b0, fano_witness=witness, names=names,
+                       working_stage=working.k, certificate=certificate)

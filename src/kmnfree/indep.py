@@ -132,7 +132,16 @@ def _verdict(work: LazyCompletion, runs, incidences: bool) -> Verdict:
 
 def _div(q: IndepQuery, work: LazyCompletion) -> Verdict:
     """DIV in ``work``: one closure of BC, then one of AD per closed base D
-    (the module docstring shows that an I check over D needs no more)."""
+    (the module docstring shows that an I check over D needs no more).
+
+    The bases D = C + extra are checked lazily, each for closedness just
+    before its sub-query, and the first failing D ends the scan.  They come
+    in report order, by (len(D), sorted(D)): ``combinations`` of the sorted
+    ``free_part`` yields each size's extras in lexicographic order, and as C
+    is disjoint from the extras, two same-size bases compare as their extras
+    do (the least element of their symmetric difference decides both).
+    Closedness checks spawn nothing (module docstring), so checking them
+    lazily leaves every id, witness and detail as it was."""
     rbc = work.closure(q.b | q.c, q.stage_budget)
     stuck = _unconverged((("BC", rbc),))
     if stuck:
@@ -148,9 +157,7 @@ def _div(q: IndepQuery, work: LazyCompletion) -> Verdict:
     c = frozenset(q.c)
     bases = (c.union(extra) for r in range(len(free_part) + 1)
              for extra in itertools.combinations(free_part, r))
-    ds = sorted((d for d in bases if work.is_monster_closed(d)[0]),
-                key=lambda d: (len(d), sorted(d)))
-    for d in ds:
+    for d in (d for d in bases if work.is_monster_closed(d)[0]):
         runs = (ClosureRun((d,), True), work.closure(q.a | d, q.stage_budget), rbc)
         v = _verdict(work, runs, incidences=True)
         if v.status is Status.UNKNOWN:

@@ -15,7 +15,6 @@ from kmnfree import (
     GlueHypothesisError,
     GlueProblem,
     IndepQuery,
-    LazyCompletion,
     PatternStatus,
     Relation,
     SearchStatus,

@@ -15,13 +15,11 @@ from kmnfree import (
     PreconditionError,
     SafeDiagram,
     Sort,
-    StructParams,
     StructureBuilder,
     extension_witness,
     free_amalgam,
     independence_glue,
     induced,
-    is_i_closed,
     is_kmn_free,
     isomorphic_over,
     pattern_consistent,

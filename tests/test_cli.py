@@ -24,6 +24,7 @@ from kmnfree import (
 )
 from kmnfree.cli import (
     DocumentError,
+    _build_parser,
     _provenance_text,
     dispatch,
     fixture_text,
@@ -451,6 +452,22 @@ def test_negative_budgets_are_usage_errors(capsys, tmp_path, argv):
     code, doc, err = run_json(capsys, *(str(f) if a == "Q" else a for a in argv))
     assert code == 1
     assert doc == {"error": "budget must be >= 0"}
+
+
+@pytest.mark.parametrize("argv, stages, elements", [
+    (("complete", "Q"), 8, 100_000),
+    (("pattern", "--instances", "3"), 1, 100_000),
+    (("embed", "Q"), 8, 200),
+])
+def test_budget_defaults_per_command(capsys, argv, stages, elements):
+    # each command's parser holds its own defaults, and its help says them
+    args = _build_parser().parse_args(argv)
+    assert (args.stages, args.elements) == (stages, elements)
+    with pytest.raises(SystemExit):
+        dispatch((argv[0], "--help"))
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"stage budget (default {stages})" in text
+    assert f"element cap for workspaces (default {elements})" in text
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The branching family, the H operation, witness configs, and the probe."""
 
+import importlib
 import itertools
 import os
 import random
@@ -38,7 +39,14 @@ from kmnfree import (
 )
 from kmnfree.gamma import GammaStructure
 
-from conftest import RecordingCompletion, build, quadrangle_structure
+from conftest import (
+    RecordingCompletion,
+    build,
+    quadrangle_structure,
+    random_free_structure,
+)
+
+gamma_module = importlib.import_module("kmnfree.gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +153,37 @@ def test_invariants_flag_damage():
     assert not rep.ok
     assert any("counts" in f for f in rep.failures)
     assert any("generation" in f for f in rep.failures)
+
+
+def test_invariants_build_one_prefix(monkeypatch):
+    # only the longest proper prefix is built; the shorter ones are its
+    # induced substructures on its first ids
+    built = []
+
+    def counting(eta):
+        built.append(tuple(eta))
+        return gamma(eta)
+
+    monkeypatch.setattr(gamma_module, "gamma", counting)
+    assert gamma_invariants(gamma("0110")).ok
+    assert built == [(0, 1, 1)]
+    built.clear()
+    assert gamma_invariants(gamma("")).ok
+    assert built == []
+
+
+def test_invariants_flag_a_renamed_prefix_element():
+    g = gamma("01")
+    s = g.structure
+    from kmnfree import StructureBuilder
+    b = StructureBuilder(s.params)
+    for e in sorted(s.elements()):
+        name = "x" if s.name(e) == "b^0_1" else s.name(e)
+        (b.add_point if s.is_point(e) else b.add_line)(name)
+    for p, l in s.incidences():
+        b.add_incidence(p, l, guard=False)
+    rep = gamma_invariants(GammaStructure(g.eta, b.build(), g.term_provenance))
+    assert rep.failures == ("prefix (0,): missing element b^0_1",)
 
 
 def test_invariants_prove_generation_without_closure(monkeypatch):
@@ -392,6 +431,50 @@ def test_probe_certificate():
         assert all(r.b0.incident(p, c.shared_line) for p in pair)
     for l, pair in zip(c.free_lines, pairs):
         assert all(free.incident(p, l) for p in pair)
+
+
+def test_probe_builds_one_workspace(monkeypatch):
+    # the forced part is built once, as B0 without t, and the certificate's
+    # workspace over it spawns only the three c-pair lines
+    made = []
+
+    class Counting(LazyCompletion):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(gamma_module, "LazyCompletion", Counting)
+    r = nonfree_completion_probe(quadrangle_structure())
+    assert r.ok and len(made) == 1
+    (work,) = made
+    assert len(work.base) == len(r.b0) - 1
+    assert sorted(work.provenance) == sorted(r.certificate.free_lines)
+
+
+def applied_probes():
+    """The probe's results on the random seeds 0..39 where it applies."""
+    for seed in range(40):
+        s = random_free_structure(random.Random(seed), max_elements=8)
+        r = nonfree_completion_probe(s, element_cap=5_000)
+        if r.ok:
+            yield r
+
+
+def test_probe_free_side_extends_b0_without_t():
+    for r in (nonfree_completion_probe(quadrangle_structure()), *applied_probes()):
+        free, t = r.certificate.free_side, r.names["t"]
+        assert t == len(r.b0) - 1
+        for e in range(t):
+            assert (free.name(e), free.sort(e)) == (r.b0.name(e), r.b0.sort(e))
+            assert {x for x in free.neighbors(e) if x < t} == r.b0.neighbors(e) - {t}
+
+
+def test_probe_b0_is_free_wherever_the_probe_applies():
+    # B0 is free by proof and never scanned by the probe; scan it here
+    results = list(applied_probes())
+    assert len(results) >= 15
+    for r in results:
+        assert is_kmn_free(r.b0) == (True, None)
 
 
 def test_probe_decided_negatives():

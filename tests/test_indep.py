@@ -18,7 +18,6 @@ from kmnfree import (
     bm_witness,
     check,
     indep_sequence,
-    isomorphic_over,
     pattern_consistent,
 )
 from kmnfree import indep
@@ -27,7 +26,6 @@ from kmnfree.core import Sort
 from conftest import (
     RecordingCompletion,
     build,
-    quadrangle_structure,
     random_free_structure,
 )
 
@@ -105,6 +103,24 @@ def test_d_over_c_lines():
     d, sub = v.witness
     assert d == cs  # the base itself is the least failing D
     assert sub == (g.by_name("b"), g.by_name("z"))
+
+
+def test_d_checks_bases_lazily_in_report_order():
+    # C itself is the least failing D, so no other base is checked for
+    # closedness
+    g = bm_witness(2, 2)
+    a = {g.by_name("a1"), g.by_name("a2")}
+    cs = frozenset({g.by_name("c1")})
+    real, seen = LazyCompletion.is_monster_closed, []
+
+    def counting(self, d):
+        seen.append(frozenset(d))
+        return real(self, d)
+
+    with mock.patch.object(LazyCompletion, "is_monster_closed", counting):
+        v = check(q(g, a, {g.by_name("b")}, cs, Relation.DIV))
+    assert v.status is Status.DEPENDENT and v.witness[0] == cs
+    assert seen == [cs]
 
 
 def test_d_independent_cases(quadrangle):

@@ -1,5 +1,6 @@
 """Digests of every independence verdict and relative completion on
-perfbench's query-mix workload, and of every search on its search-mix.
+perfbench's query-mix workload, of every search on its search-mix, and of
+the witness constructions.
 
     python3 tools/verdict_hash.py SEED
 
@@ -14,16 +15,21 @@ completion is run as query-mix runs it, and its ``y_stages``, ``c`` and
 the number of runs.  A third line digests the search-mix workload of the
 same seed: each search's input, status, FOUND mapping and plane (or
 finite completion and embedding), and each pattern's status and candidate
-count, with the number of searches; node counts are left out.  Two trees
-that print the same digests for a seed give byte-identical results on those
-workloads, so a change to the independence, completion or search layer can
-be shown to keep its outputs with one command per tree.  ``perfbench/`` is
-imported, not changed.
+count, with the number of searches; node counts are left out.  A fourth
+line digests the constructions: query-mix's separations and glues, run as
+query-mix runs them, the document and invariants report of every ``gamma``
+member up to 4 bits, and the probe on the quadrangle (its B0 document, names,
+witness, free-side line names and isomorphism flag), with the number of
+records.  Two trees that print the same digests for a seed give
+byte-identical results on those workloads, so a change to the independence,
+completion, search or construction layer can be shown to keep its outputs
+with one command per tree.  ``perfbench/`` is imported, not changed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import random
 import sys
@@ -45,27 +51,31 @@ def canonical(value):
     return value
 
 
-def drawn_items(seed: int) -> tuple:
-    """The (structure, A, B, C) of every query-mix query for ``seed``, and
-    the (structure, seed set) of every relative completion."""
-    queries, relcompletes = [], []
-    real_query, real_relcomplete = workloads.query_item, workloads.relcomplete_item
+ITEM_MAKERS = ("query_item", "relcomplete_item", "glue_item", "separate_item")
 
-    def query(kmn_, s, a, b, c):
-        queries.append((s, a, b, c))
-        return real_query(kmn_, s, a, b, c)
 
-    def relcomplete(kmn_, s, seed_set):
-        relcompletes.append((s, seed_set))
-        return real_relcomplete(kmn_, s, seed_set)
+def drawn_items(seed: int) -> dict:
+    """The arguments, after ``kmn``, of every item query-mix draws for
+    ``seed``, by item maker: (structure, A, B, C) for each query, (structure,
+    seed set) for each relative completion, (problem,) for each glue and
+    (eta,) for each separation."""
+    drawn = {name: [] for name in ITEM_MAKERS}
+    real = {name: getattr(workloads, name) for name in ITEM_MAKERS}
 
-    workloads.query_item, workloads.relcomplete_item = query, relcomplete
+    def capture(name):
+        def make(kmn_, *args):
+            drawn[name].append(args)
+            return real[name](kmn_, *args)
+        return make
+
+    for name in ITEM_MAKERS:
+        setattr(workloads, name, capture(name))
     try:
         workloads.query_mix(kmn, random.Random(seed))
     finally:
-        workloads.query_item, workloads.relcomplete_item = (
-            real_query, real_relcomplete)
-    return queries, relcompletes
+        for name, make in real.items():
+            setattr(workloads, name, make)
+    return drawn
 
 
 def relcomplete_record(s, seed_set) -> tuple:
@@ -78,6 +88,43 @@ def relcomplete_record(s, seed_set) -> tuple:
         return ("BudgetError", str(e))
     return (canonical(rc.y_stages), canonical(rc.c),
             sorted(rc.correspondence.items()))
+
+
+def glue_record(problem) -> tuple:
+    """What independence_glue gives as query-mix runs it."""
+    try:
+        out = kmn.independence_glue(problem, stage_budget=workloads.QUERY_STAGES,
+                                    element_cap=workloads.GLUE_CAP)
+    except kmn.GlueHypothesisError as e:
+        return ("GlueHypothesisError", e.hypothesis, str(e))
+    except kmn.BudgetError as e:
+        return ("BudgetError", str(e))
+    return kmn.cli.structure_document(out.structure), sorted(out.ids.items())
+
+
+def construction_records(drawn: dict) -> list:
+    """Records of query-mix's separations and glues, of every ``gamma``
+    member up to 4 bits with its invariants report, and of the probe on the
+    quadrangle."""
+    records = [("separate", eta, kmn.separating_check(eta))
+               for (eta,) in drawn["separate_item"]]
+    records += [("glue", glue_record(problem)) for (problem,) in drawn["glue_item"]]
+    for k in range(5):
+        for bits in itertools.product("01", repeat=k):
+            g = kmn.gamma("".join(bits))
+            rep = kmn.gamma_invariants(g)
+            records.append(("gamma", g.eta, kmn.cli.structure_document(g.structure),
+                            rep.ok, rep.failures))
+    quad = kmn.StructureBuilder(kmn.StructParams(2, 2))
+    for i in range(1, 5):
+        quad.add_point(f"p{i}")
+    r = kmn.nonfree_completion_probe(quad.build())
+    cert = r.certificate
+    records.append(("probe", r.working_stage, kmn.cli.structure_document(r.b0),
+                    sorted(r.names.items()), sorted(r.fano_witness),
+                    [cert.free_side.name(l) for l in cert.free_lines],
+                    cert.iso_over_seed))
+    return records
 
 
 def structure_key(s) -> tuple:
@@ -142,9 +189,10 @@ def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/verdict_hash.py SEED", file=sys.stderr)
         return 1
-    queries, relcompletes = drawn_items(int(argv[0]))
+    drawn = drawn_items(int(argv[0]))
+    relcompletes = drawn["relcomplete_item"]
     digest, checks = hashlib.sha256(), 0
-    for s, a, b, c in queries:
+    for s, a, b, c in drawn["query_item"]:
         for rel in kmn.Relation:
             for x, y in ((a, b), (b, a)):
                 v = kmn.check(kmn.IndepQuery(
@@ -162,6 +210,10 @@ def main(argv) -> int:
     for record in records:
         digest.update(repr(record).encode() + b"\n")
     print(f"{digest.hexdigest()}  {len(records)} searches")
+    digest, records = hashlib.sha256(), construction_records(drawn)
+    for record in records:
+        digest.update(repr(record).encode() + b"\n")
+    print(f"{digest.hexdigest()}  {len(records)} records")
     return 0
 
 
