@@ -40,8 +40,8 @@ def main():
     print(f"14-element witness is the order-2 plane: "
           f"{bool(isomorphic_over(sub, plane, {}))}")
     cert = res.certificate
-    print(f"free continuation size {len(cert.free_side)} vs {len(res.b0)}; "
-          f"isomorphic over the seed: {cert.iso_over_seed}")
+    print(f"c-pairs connect through {res.b0.name(cert.shared_line)} in B0, "
+          f"through {cert.free_side.names(cert.free_lines)} on the free side")
 
     m = n = 2
     r = (m + 1) * (n - 1)

@@ -530,7 +530,6 @@ def _cmd_probe(args) -> int:
         "certificate": {
             "shared_line": res.b0.name(cert.shared_line),
             "free_lines": _render(cert.free_side, cert.free_lines),
-            "isomorphic_over_seed": cert.iso_over_seed,
         },
     }
     _emit(

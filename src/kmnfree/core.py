@@ -29,7 +29,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -491,15 +492,49 @@ def satisfies_complete(s: IncidenceStructure) -> CompletenessReport:
 
     Vacuously true when there are fewer than m points and fewer than n lines.
     Point subsets are scanned before line subsets, colex within each.
+
+    Each sort is first checked by counting (``_counts_all_equal``), and the
+    colex scan runs only on a sort that fails the count, so the report is
+    the scan's.  An m-set of points lies on as many lines as there are lines
+    whose points include it, so the counts of the C(|points|, m) m-sets,
+    zeros included, sum to the sum over lines l of C(|points of l|, m).
+    If that sum is not want * C(|points|, m), want = n-1, some count is not
+    want.  If it is, every count equals want exactly when none is above
+    want, since a count below want would leave the sum short.  So the
+    count reads the sum from the line degrees and then counts the m-subsets
+    of each line's points, stopping at the first count above want: at most
+    want * C(|points|, m) steps after the degree sum.  Lines are the dual
+    case.
     """
     m, n = s.params.m, s.params.n
     forced = s.forced
-    for elems, k, want, kind in ((s.points, m, n - 1, "points"), (s.lines, n, m - 1, "lines")):
+    for elems, others, k, want, kind in (
+        (s.points, s.lines, m, n - 1, "points"),
+        (s.lines, s.points, n, m - 1, "lines"),
+    ):
+        if _counts_all_equal(s._adj, others, k, want, comb(len(elems), k)):
+            continue
         for sub in colex_combinations(elems, k):
             count = len(forced(sub))
             if count != want:
                 return CompletenessReport(False, kind, frozenset(sub), count)
     return CompletenessReport(True)
+
+
+def _counts_all_equal(adj, others: Sequence[int], k: int, want: int, subsets: int) -> bool:
+    """Does each of the ``subsets`` k-sets of one sort lie in exactly
+    ``want`` of the neighbourhoods of ``others``?  Proof in
+    ``satisfies_complete``."""
+    if sum(comb(len(adj[o]), k) for o in others) != want * subsets:
+        return False
+    counts: dict = {}
+    for o in others:
+        for sub in combinations(sorted(adj[o]), k):
+            c = counts.get(sub, 0) + 1
+            if c > want:
+                return False
+            counts[sub] = c
+    return True
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,13 @@ point pair not yet covered must be covered by some line, so candidates
 are exactly the admissible lines through that pair, tried in
 lexicographic order.  That rule never discards a solution, keeps the
 search deterministic, and fixes the very first line to the least
-possible point set.
+possible point set.  The covered pairs are one bit row per point (bit y
+of row x is set when the pair xy lies on a placed line), so finding the
+least uncovered pair, the points free of it and each prefix test are a
+few integer operations, and the rows take O(v) space where a table of
+pair flags took v^2.  The nodes and their order are those of the search
+on such a table, which ``tests/test_search_work.py`` keeps as the
+reference.
 
 Embedding queries reuse found planes through a cache keyed by order, and
 search with the one backtracking matcher of ``core``.  The first element
@@ -32,8 +38,8 @@ from .core import (
     BudgetError,
     IncidenceStructure,
     ParameterError,
+    Sort,
     StructParams,
-    StructureBuilder,
     _match,
     _on_mapped_neighbours,
     _require_budgets,
@@ -114,94 +120,90 @@ class _PlaneSearch:
     point instead of filtered from all combinations, in the same order.
     Each line placed and each prefix test is a node, so the node budget
     bounds the work of building candidates as well.
+
+    Bit y of ``covered[x]`` is set when the pair xy lies on a placed line.
+    No degree is kept: the lines through x cover k-1 pairs each, none
+    twice, so x lies on k lines exactly when all its k(k-1) = v-1 pairs
+    are covered, and the pair tests then exclude it.
     """
 
     def __init__(self, order: int, node_budget: int, canonical: bool = True):
         if order < 1:
             raise ParameterError("plane order must be >= 1")
-        self.q = order
         self.v = order * order + order + 1
         self.k = order + 1
         self.budget = node_budget
         self.nodes = 0
         self.canonical = canonical
-        self.pair_used = [[False] * self.v for _ in range(self.v)]
-        self.deg = [0] * self.v
+        self.everyone = (1 << self.v) - 1
+        self.covered = [0] * self.v
         self.lines: List[Tuple[int, ...]] = []
         self.solutions: List[List[Tuple[int, ...]]] = []
         self.exhausted = False
 
     def _least_uncovered(self) -> Optional[Tuple[int, int]]:
-        for a in range(self.v):
-            row = self.pair_used[a]
-            for b in range(a + 1, self.v):
-                if not row[b]:
-                    return (a, b)
+        for a, row in enumerate(self.covered):
+            free = (self.everyone ^ row) >> (a + 1)
+            if free:
+                return a, a + (free & -free).bit_length()
         return None
 
     def _place(self, line: Tuple[int, ...]) -> None:
-        for x, y in combinations(line, 2):
-            self.pair_used[x][y] = self.pair_used[y][x] = True
+        mask = sum(1 << x for x in line)
+        covered = self.covered
         for x in line:
-            self.deg[x] += 1
+            covered[x] |= mask ^ (1 << x)
         self.lines.append(line)
 
     def _unplace(self, line: Tuple[int, ...]) -> None:
-        for x, y in combinations(line, 2):
-            self.pair_used[x][y] = self.pair_used[y][x] = False
+        mask = sum(1 << x for x in line)
+        covered = self.covered
         for x in line:
-            self.deg[x] -= 1
+            covered[x] &= ~mask
         self.lines.pop()
 
     def _admissible(self, line: Tuple[int, ...]) -> bool:
-        for x in line:
-            if self.deg[x] >= self.k:
-                return False
-        for x, y in combinations(line, 2):
-            if self.pair_used[x][y]:
-                return False
-        return True
+        mask = sum(1 << x for x in line)
+        return not any(self.covered[x] & mask for x in line)
 
     def _free_subsets(self, pool: List[int], size: int):
-        """The ``size``-subsets of ``pool`` with no used pair inside, in
+        """The ``size``-subsets of ``pool`` with no covered pair inside, in
         lexicographic order: ``combinations(pool, size)`` filtered by the
         pair test, with each prefix tested once for all its extensions.
         Every prefix test is a node."""
+        covered = self.covered
         chosen: List[int] = []
+        stop = len(pool) - size + 1
 
-        def extend(start: int):
-            if len(chosen) == size:
+        def extend(start: int, mask: int, depth: int):
+            if depth == size:
                 yield tuple(chosen)
                 return
-            for i in range(start, len(pool) - size + len(chosen) + 1):
+            for i in range(start, stop + depth):
                 if self.nodes >= self.budget:
                     raise _Stop
                 self.nodes += 1
                 p = pool[i]
-                row = self.pair_used[p]
-                if any(row[x] for x in chosen):
+                if covered[p] & mask:
                     continue
                 chosen.append(p)
-                yield from extend(i + 1)
+                yield from extend(i + 1, mask | 1 << p, depth + 1)
                 chosen.pop()
 
-        return extend(0)
+        return extend(0, 0, 0)
 
     def _candidates(self):
         pair = self._least_uncovered()
         if pair is None:
             return None  # complete
         a, b = pair
-        if self.deg[a] >= self.k or self.deg[b] >= self.k:
-            return iter(())  # dead end: the pair can never be covered
         if self.canonical:
-            pool = [
-                p
-                for p in range(b + 1, self.v)
-                if self.deg[p] < self.k
-                and not self.pair_used[a][p]
-                and not self.pair_used[b][p]
-            ]
+            free = (self.everyone ^ (self.covered[a] | self.covered[b])) >> (b + 1)
+            pool = []
+            while free:
+                low = free & -free
+                pool.append(b + low.bit_length())
+                free ^= low
             return ((a, b) + rest for rest in self._free_subsets(pool, self.k - 2))
         # plain order: any lex-greater admissible line covering the pair
         floor = self.lines[-1] if self.lines else ()
@@ -234,16 +236,22 @@ class _PlaneSearch:
             self._unplace(cand)
 
     def to_structure(self, lines: List[Tuple[int, ...]]) -> IncidenceStructure:
-        bld = StructureBuilder(StructParams(2, 2))
-        for _ in range(self.v):
-            bld.add_point()
-        for line in lines:
-            l = bld.add_line()
+        """Points 0..v-1 named ``p{e}``, then one line per entry of
+        ``lines`` named ``l{e}``: the ids and names a ``StructureBuilder``
+        gives, written directly.  No freeness scan: the postcondition below
+        puts every point pair on exactly one line, which rules out a K_{2,2}."""
+        v = self.v
+        through: List[List[int]] = [[] for _ in range(v)]
+        for l, line in enumerate(lines, v):
             for p in line:
-                # unguarded: the postcondition below puts every point pair
-                # on exactly one line, which rules out a K_{2,2}
-                bld.add_incidence(p, l, guard=False)
-        s = bld.build()
+                through[p].append(l)
+        ids = range(v + len(lines))
+        s = IncidenceStructure(
+            StructParams(2, 2),
+            tuple(Sort.POINT if e < v else Sort.LINE for e in ids),
+            tuple(f"p{e}" if e < v else f"l{e}" for e in ids),
+            tuple(map(frozenset, through)) + tuple(map(frozenset, lines)),
+        )
         report = satisfies_complete(s)
         if not report.passed:
             raise RuntimeError("postcondition failure: found plane is incomplete")

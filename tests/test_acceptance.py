@@ -486,7 +486,9 @@ def test_criterion_11_nonfree_completion_probe():
         # B0 serves all three point pairs with one line, the free side
         # spends three, so the sizes (and structures) come apart
         cert = res.certificate
-        assert not cert.iso_over_seed
+        c_pts = [res.names[k] for k in ("c1", "c2", "c3")]
+        for pair in itertools.combinations(c_pts, 2):
+            assert b0.forced(pair) == {cert.shared_line}
         assert len(set(cert.free_lines)) == 3
         assert len(cert.free_side) != len(b0)
         seed_base = {e: e for e in quadrangle_structure().elements()}

@@ -203,7 +203,7 @@ def test_quadrangle_completion_documents_are_pinned(
     (("bm", "--m", "3", "--n", "4"),
      "570a05d9cec15ff3b5ff5c09fd2e9ca6085fa9f0777eb437d5a65493e7f1b0eb"),
     (("probe", "QUADRANGLE"),
-     "3c3def5cd5accc494400e35a0d37487880650e79c2eedc0e1adfbe8834e987da"),
+     "9bb3602fccf8441876ee6cd1d0697c7a17ddfae49eb1405ce1884c3f0e88935c"),
 ])
 def test_construction_documents_are_pinned(capsys, tmp_path, argv, digest):
     f = tmp_path / "q.json"

@@ -1,5 +1,7 @@
 """Finite plane search and embedding queries."""
 
+import tracemalloc
+
 import pytest
 
 from kmnfree import (
@@ -78,6 +80,20 @@ def test_plane_budget_counts_prefix_tests():
     clear_plane_cache()
     r = find_projective_plane(9, node_budget=100)
     assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, 100)
+
+
+def test_large_order_allocates_no_pair_table():
+    # order 60 has 3,661 points: a table of pair flags took 103 MB before the
+    # first node, one bit row per point takes 3,661 ints
+    clear_plane_cache()
+    tracemalloc.start()
+    try:
+        r = find_projective_plane(60, node_budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, 100)
+    assert peak < 4 * 2**20
 
 
 def test_search_without_symmetry_breaking():

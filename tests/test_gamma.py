@@ -421,16 +421,13 @@ def test_probe_certificate():
     c = r.certificate
     assert c is not None
     assert c.shared_line == r.names["t"]
-    assert not c.iso_over_seed
-    free = c.free_side
     # three distinct connecting lines on the free side, one shared on B0
     assert len(set(c.free_lines)) == 3
     cpts = [r.names[k] for k in ("c1", "c2", "c3")]
     pairs = [(cpts[0], cpts[1]), (cpts[0], cpts[2]), (cpts[1], cpts[2])]
-    for pair in pairs:
-        assert all(r.b0.incident(p, c.shared_line) for p in pair)
     for l, pair in zip(c.free_lines, pairs):
-        assert all(free.incident(p, l) for p in pair)
+        assert r.b0.forced(pair) == {c.shared_line}
+        assert c.free_side.forced(pair) == {l}
 
 
 def test_probe_builds_one_workspace(monkeypatch):

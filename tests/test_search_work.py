@@ -3,10 +3,12 @@ reference copies of the plain (filter-every-candidate) searches.
 
 The pattern search prunes with forward checks and counts refuted subtrees
 in bulk; its verdicts, witnesses and candidate counts must equal what the
-plain search below reports.  The plane search counts prefix tests as
-nodes and the embedding search skips images that cannot pass, so their
-solutions, verdicts and FOUND mappings must equal the references', and
-their node counts are pinned beside the references' counts.
+plain search below reports.  The plane search keeps its covered pairs in
+bit rows and builds candidates point by point; a stand-alone list-of-rows
+search that filters every combination must give the same solutions, lines
+placed and node counts.  The embedding search skips images that cannot
+pass, so its verdicts and FOUND mappings must equal the reference's, and
+its node counts are pinned beside the reference's counts.
 """
 
 import itertools
@@ -64,10 +66,11 @@ def stage2_quadrangle():
 
 
 # lines placed plus prefixes of candidate lines tested, per order
-PLANE_NODES = {1: 3, 2: 14, 3: 47, 4: 112, 5: 4_086}
+PLANE_NODES = {1: 3, 2: 14, 3: 47, 4: 112, 5: 4_086, 8: 3_469}
 
 
-@pytest.mark.parametrize("order,lines", [(1, 3), (2, 7), (3, 13), (4, 21), (5, 84)])
+@pytest.mark.parametrize("order,lines", [(1, 3), (2, 7), (3, 13), (4, 21), (5, 84),
+                                         (8, 73)])
 def test_plane_search_nodes_are_pinned(order, lines):
     clear_plane_cache()
     r = find_projective_plane(order)
@@ -464,22 +467,77 @@ class CountedPlaneSearch(LineCount, _PlaneSearch):
     pass
 
 
-class FilteredPlaneSearch(LineCount, _PlaneSearch):
-    """Canonical candidates as all (k-2)-subsets of the pool, filtered by
-    _admissible: the code before the lexicographic DFS."""
+class ReferenceStop(Exception):
+    pass
 
-    def _candidates(self):
-        pair = self._least_uncovered()
-        if pair is None:
-            return None
-        a, b = pair
+
+class FilteredPlaneSearch:
+    """The canonical plane search on a v x v table of pair flags and a
+    degree list, its candidates all (k-2)-subsets of the pool filtered by a
+    pair test: the code before the point-by-point candidates, standing
+    alone.  Nodes are counted as the search under test counts them: each
+    line placed, and each prefix of a pool combination whose one-shorter
+    prefix has no used pair, once, before the first combination that
+    starts with it."""
+
+    def __init__(self, order, budget):
+        self.v, self.k = order * order + order + 1, order + 1
+        self.budget, self.nodes, self.placed = budget, 0, 0
+        self.used = [[False] * self.v for _ in range(self.v)]
+        self.deg = [0] * self.v
+        self.lines, self.solutions, self.exhausted = [], [], False
+
+    def node(self):
+        if self.nodes >= self.budget:
+            raise ReferenceStop
+        self.nodes += 1
+
+    def pair_free(self, points):
+        return not any(self.used[x][y] for x, y in itertools.combinations(points, 2))
+
+    def candidates(self, a, b):
         if self.deg[a] >= self.k or self.deg[b] >= self.k:
-            return iter(())
-        pool = [p for p in range(b + 1, self.v)
-                if self.deg[p] < self.k and not self.pair_used[a][p]
-                and not self.pair_used[b][p]]
-        return ((a, b) + rest for rest in itertools.combinations(pool, self.k - 2)
-                if self._admissible((a, b) + rest))
+            return
+        pool = [p for p in range(b + 1, self.v) if self.deg[p] < self.k
+                and not self.used[a][p] and not self.used[b][p]]
+        last = ()
+        for rest in itertools.combinations(pool, self.k - 2):
+            for j in range(1, len(rest) + 1):
+                if rest[:j] != last[:j] and self.pair_free(rest[:j - 1]):
+                    self.node()
+            last = rest
+            if self.pair_free(rest):
+                yield (a, b) + rest
+
+    def mark(self, line, flag):
+        for x, y in itertools.combinations(line, 2):
+            self.used[x][y] = self.used[y][x] = flag
+        for x in line:
+            self.deg[x] += 1 if flag else -1
+
+    def dfs(self, first_only, limit):
+        pair = next(((a, b) for a in range(self.v) for b in range(a + 1, self.v)
+                     if not self.used[a][b]), None)
+        if pair is None:
+            self.solutions.append(list(self.lines))
+            if first_only or (limit is not None and len(self.solutions) >= limit):
+                raise ReferenceStop
+            return
+        for line in self.candidates(*pair):
+            self.node()
+            self.placed += 1
+            self.mark(line, True)
+            self.lines.append(line)
+            self.dfs(first_only, limit)
+            self.lines.pop()
+            self.mark(line, False)
+
+    def run(self, first_only, limit=None):
+        try:
+            self.dfs(first_only, limit)
+            self.exhausted = True
+        except ReferenceStop:
+            pass
 
 
 def run_search(cls, order, first_only, limit=None, budget=10**7):
@@ -492,27 +550,26 @@ def run_search(cls, order, first_only, limit=None, budget=10**7):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_plane_search_matches_filtered_reference(order):
     got = run_search(CountedPlaneSearch, order, first_only=True)
-    assert got[:3] == run_search(FilteredPlaneSearch, order, first_only=True)[:3]
+    assert got == run_search(FilteredPlaneSearch, order, first_only=True)
+    assert got[3] == PLANE_NODES[order]
+    # the plane is the first solution as a builder writes it, names included
+    b = StructureBuilder(StructParams(2, 2))
+    for _ in range(order * order + order + 1):
+        b.add_point()
+    for line in got[0][0]:
+        l = b.add_line()
+        for p in line:
+            b.add_incidence(p, l, guard=False)
     clear_plane_cache()
-    plane = find_projective_plane(order).plane
-    assert sorted(plane.incidences()) == sorted(
-        (p, order * order + order + 1 + i)
-        for i, line in enumerate(got[0][0]) for p in line)
+    assert find_projective_plane(order).plane == b.build()
 
 
 @pytest.mark.parametrize("order,limit,budget", [(2, None, 10**7), (3, 50, 10**7),
                                                 (3, None, 200), (4, 5, 10**7)])
 def test_plane_enumeration_matches_filtered_reference(order, limit, budget):
-    # the reference counts only lines placed, so at one budget the search
-    # stops no later than it, after a prefix of its solutions
-    solutions, exhausted, placed, nodes = run_search(
-        CountedPlaneSearch, order, False, limit, budget)
-    want = run_search(FilteredPlaneSearch, order, False, limit, budget)
-    if nodes < budget:
-        assert (solutions, exhausted, placed) == want[:3]
-    else:
-        assert solutions == want[0][:len(solutions)]
-        assert not exhausted and placed <= want[2]
+    # both count every prefix test, so at one budget they stop at one node
+    got = run_search(CountedPlaneSearch, order, False, limit, budget)
+    assert got == run_search(FilteredPlaneSearch, order, False, limit, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -555,3 +612,13 @@ def test_satisfies_complete_on_planes_matches_reference():
         plane = find_projective_plane(order).plane
         assert satisfies_complete(plane) == reference_satisfies_complete(plane)
         assert satisfies_complete(plane).passed
+
+
+def test_satisfies_complete_with_a_matching_count_sum_matches_reference():
+    # the pairs of p0..p3 on two 3-point lines sum to C(4, 2) = 6, with
+    # p0 p1 on both lines and p2 p3 on none
+    s = build(2, 2, points=("p0", "p1", "p2", "p3"), lines=("l", "m"),
+              incidences=(("p0", "l"), ("p1", "l"), ("p2", "l"),
+                          ("p0", "m"), ("p1", "m"), ("p3", "m")), guard=False)
+    assert satisfies_complete(s) == reference_satisfies_complete(s) == (
+        CompletenessReport(False, "points", frozenset({0, 1}), 2))

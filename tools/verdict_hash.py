@@ -19,11 +19,15 @@ count, with the number of searches; node counts are left out.  A fourth
 line digests the constructions: query-mix's separations and glues, run as
 query-mix runs them, the document and invariants report of every ``gamma``
 member up to 4 bits, and the probe on the quadrangle (its B0 document, names,
-witness, free-side line names and isomorphism flag), with the number of
-records.  Two trees that print the same digests for a seed give
-byte-identical results on those workloads, so a change to the independence,
-completion, search or construction layer can be shown to keep its outputs
-with one command per tree.  ``perfbench/`` is imported, not changed.
+witness and free-side line names), with the number of records.  A fifth line
+digests the node counts: that of every plane, embedding and general search
+of the same search-mix, and the first plane's document and node count at
+orders 1-5 and 8, with the number of records.  Two trees that print the
+same digests for a seed give byte-identical results on those workloads, and
+the same fifth line shows that their searches visit as many nodes, so a
+change to the independence, completion, search or construction layer can
+be shown to keep its outputs with one command per tree.  ``perfbench/`` is
+imported, not changed.
 """
 
 from __future__ import annotations
@@ -122,8 +126,7 @@ def construction_records(drawn: dict) -> list:
     cert = r.certificate
     records.append(("probe", r.working_stage, kmn.cli.structure_document(r.b0),
                     sorted(r.names.items()), sorted(r.fano_witness),
-                    [cert.free_side.name(l) for l in cert.free_lines],
-                    cert.iso_over_seed))
+                    [cert.free_side.name(l) for l in cert.free_lines]))
     return records
 
 
@@ -162,17 +165,17 @@ class SearchContext:
         raise SystemExit(f"search-mix check failed: {message}")
 
 
-def search_records(seed: int) -> list:
-    """One record per search of search-mix for ``seed``, each run once from
-    an empty plane cache, as perfbench runs them."""
-    records, real_search_op = [], workloads.search_op
+def search_runs(seed: int) -> list:
+    """(label, args, result) of each search of search-mix for ``seed``, each
+    run once from an empty plane cache, as perfbench runs them."""
+    runs, real_search_op = [], workloads.search_op
 
     def search_op(ctx, kmn_, label, search, inputs, decided):
         results = []
         for args in inputs:
             kmn.finsearch.clear_plane_cache()
             results.append(search(*args))
-            records.append((label, search_record(args, results[-1])))
+            runs.append((label, args, results[-1]))
         return results
 
     workloads.search_op = search_op
@@ -182,6 +185,20 @@ def search_records(seed: int) -> list:
             item(SearchContext())
     finally:
         workloads.search_op = real_search_op
+    return runs
+
+
+def node_records(runs: list) -> list:
+    """The node count of each search in ``runs`` that has one (patterns
+    count candidates, digested with their results), then the first plane's
+    document and node count at orders 1-5 and 8, each from an empty cache."""
+    records = [(label, result.nodes) for label, _, result in runs
+               if not isinstance(result, kmn.amalgam.PatternVerdict)]
+    for order in (1, 2, 3, 4, 5, 8):
+        kmn.finsearch.clear_plane_cache()
+        r = kmn.find_projective_plane(order)
+        records.append(("plane", order, r.status.name, r.nodes,
+                        kmn.cli.structure_document(r.plane)))
     return records
 
 
@@ -206,14 +223,19 @@ def main(argv) -> int:
     for s, seed_set in relcompletes:
         digest.update(repr(relcomplete_record(s, seed_set)).encode() + b"\n")
     print(f"{digest.hexdigest()}  {len(relcompletes)} relative completions")
-    digest, records = hashlib.sha256(), search_records(int(argv[0]))
-    for record in records:
-        digest.update(repr(record).encode() + b"\n")
-    print(f"{digest.hexdigest()}  {len(records)} searches")
+    runs = search_runs(int(argv[0]))
+    digest = hashlib.sha256()
+    for label, args, result in runs:
+        digest.update(repr((label, search_record(args, result))).encode() + b"\n")
+    print(f"{digest.hexdigest()}  {len(runs)} searches")
     digest, records = hashlib.sha256(), construction_records(drawn)
     for record in records:
         digest.update(repr(record).encode() + b"\n")
     print(f"{digest.hexdigest()}  {len(records)} records")
+    digest, records = hashlib.sha256(), node_records(runs)
+    for record in records:
+        digest.update(repr(record).encode() + b"\n")
+    print(f"{digest.hexdigest()}  {len(records)} node counts")
     return 0
 
 
