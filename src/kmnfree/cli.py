@@ -21,10 +21,8 @@ the answer is unknown.
 
 Budgets: --stages (closure/completion stages, default 8), --elements
 (workspace element cap, default 100000), --nodes (search node budget,
-default 10000000; --budget is an alias); a negative budget is a usage
-error.  --seed and --jobs are accepted for interface stability; the
-implementation is deterministic and sequential, so neither changes any
-output.
+default 10000000); a negative budget is a usage error.  Each subcommand
+takes only the budgets it uses, so any other flag is a usage error.
 """
 
 import argparse
@@ -112,7 +110,7 @@ def parse_structure(text: str) -> IncidenceStructure:
     for key in ("m", "n", "points", "lines", "incidences"):
         if key not in doc:
             raise DocumentError(f"document is missing {key!r}")
-    if not isinstance(doc["m"], int) or not isinstance(doc["n"], int):
+    if type(doc["m"]) is not int or type(doc["n"]) is not int:  # bool is refused
         raise DocumentError("m and n must be integers")
     for key in ("points", "lines", "incidences"):
         if not isinstance(doc[key], list):
@@ -127,6 +125,8 @@ def parse_structure(text: str) -> IncidenceStructure:
         for name in doc[key]:
             if not isinstance(name, str):
                 raise DocumentError(f"{sort} name {name!r} is not a string")
+            if not name:
+                raise DocumentError(f"empty {sort} name")
             if name in sort_of:
                 raise DocumentError(f"duplicate name: {name}")
             add(name)
@@ -690,39 +690,42 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
 
     def add(name: str, run: Callable[[argparse.Namespace], int], help_: str,
-            emit: bool = False, nodes: str = "search node budget",
-            stages: int = 8, elements: int = 100_000) -> _Parser:
+            emit: bool = False, stages: Optional[int] = None,
+            elements: Optional[int] = None, nodes: Optional[str] = None) -> _Parser:
+        # only the budgets given: --stages and --elements by their defaults,
+        # --nodes by its help text
         p = sub.add_parser(name, help=help_)
         p.set_defaults(run=run)
-        p.add_argument("--stages", type=int, default=stages,
-                       help=f"stage budget (default {stages})")
-        p.add_argument("--elements", type=int, default=elements,
-                       help=f"element cap for workspaces (default {elements})")
-        p.add_argument("--nodes", "--budget", dest="nodes", type=int,
-                       default=10_000_000,
-                       help=f"{nodes} (default 10000000)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; output is deterministic")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved; evaluation is sequential")
+        for flag, default, text in (
+            ("--stages", stages, "stage budget"),
+            ("--elements", elements, "element cap for workspaces"),
+            ("--nodes", 10_000_000 if nodes else None, nodes),
+        ):
+            if default is not None:
+                p.add_argument(flag, type=int, default=default,
+                               help=f"{text} (default {default})")
         if emit:
             p.add_argument("--emit", choices=("json", "dot"), default="json",
                            help="output format for structures")
         return p
 
+    workspace = {"stages": 8, "elements": 100_000}
+
     p = add("check", _cmd_check, "classify a document: freeness and completeness")
     p.add_argument("file")
 
-    p = add("closure", _cmd_closure, "closure stages of a subset inside a structure")
+    p = add("closure", _cmd_closure, "closure stages of a subset inside a structure",
+            stages=8)
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated names")
 
     p = add("complete", _cmd_complete, "free completion stages of a structure",
-            emit=True)
+            emit=True, **workspace)
     p.add_argument("file")
 
     p = add("relcomplete", _cmd_relcomplete,
-            "grow the completion of a subset inside the host's completion")
+            "grow the completion of a subset inside the host's completion",
+            **workspace)
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated names")
 
@@ -741,7 +744,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--anchor", required=True,
                    help="host names matched positionally to --base-vars")
 
-    p = add("glue", _cmd_glue, "two-dimensional independent gluing", emit=True)
+    p = add("glue", _cmd_glue, "two-dimensional independent gluing", emit=True, **workspace)
     p.add_argument("--d", required=True, help="names of the common base")
     for flag in ("--xa", "--xb", "--xc", "--xab", "--xac", "--xbc"):
         p.add_argument(flag, required=True)
@@ -756,10 +759,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
 
-    p = add("probe", _cmd_probe, "search for a non-free completion over a structure")
+    p = add("probe", _cmd_probe, "search for a non-free completion over a structure",
+            nodes="node budget of the line-selection search", **workspace)
     p.add_argument("file")
 
-    p = add("indep", _cmd_indep, "independence of two sets over a third")
+    p = add("indep", _cmd_indep, "independence of two sets over a third", **workspace)
     p.add_argument("file")
     p.add_argument("--rel", required=True,
                    choices=tuple(r.value for r in Relation))
@@ -769,7 +773,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d-bound", type=int, default=16,
                    help="intermediate-set size bound for the d relation")
 
-    p = add("sequence", _cmd_sequence, "pairwise independent copies of a tuple")
+    p = add("sequence", _cmd_sequence, "pairwise independent copies of a tuple", **workspace)
     p.add_argument("file")
     p.add_argument("--b", required=True, help="comma-separated names")
     p.add_argument("--c", default="", help="comma-separated names")
@@ -777,7 +781,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rel", default="i", choices=("a", "i"))
 
     p = add("pattern", _cmd_pattern, "existential-pattern consistency over a sequence",
-            stages=1)
+            stages=1, elements=100_000, nodes="candidate budget")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--instances", type=int, required=True,

@@ -69,7 +69,7 @@ class StructParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+        if type(self.m) is not int or type(self.n) is not int:  # bool is refused
             raise ParameterError("m and n must be integers")
         if self.m < 1 or self.n < 1:
             raise ParameterError(f"m and n must be >= 1, got ({self.m}, {self.n})")

@@ -31,7 +31,7 @@ the space is the only way to conclude NONE.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -112,14 +112,12 @@ class _PlaneSearch:
     Lines are (q+1)-subsets of range(v), v = q^2+q+1.  Any two points
     may share at most one line, and a finished solution covers every
     pair exactly once, which forces the line count and the degrees.
-    With ``canonical`` set, each new line must cover the least
-    uncovered pair, with its remaining points above that pair (forced
-    for the least pair, so no solutions are lost); otherwise lines are
-    built in plain lexicographic order, which is far slower but useful
-    as an oracle at order 1.  Canonical candidates are built point by
-    point instead of filtered from all combinations, in the same order.
-    Each line placed and each prefix test is a node, so the node budget
-    bounds the work of building candidates as well.
+    Each new line must cover the least uncovered pair, with its
+    remaining points above that pair (forced for the least pair, so no
+    solutions are lost).  Candidates are built point by point, in
+    lexicographic order.  Each line placed and each prefix test is a
+    node, so the node budget bounds the work of building candidates as
+    well.
 
     Bit y of ``covered[x]`` is set when the pair xy lies on a placed line.
     No degree is kept: the lines through x cover k-1 pairs each, none
@@ -127,16 +125,13 @@ class _PlaneSearch:
     are covered, and the pair tests then exclude it.
     """
 
-    def __init__(self, order: int, node_budget: int, canonical: bool = True):
+    def __init__(self, order: int, node_budget: int):
         if order < 1:
             raise ParameterError("plane order must be >= 1")
         self.v = order * order + order + 1
         self.k = order + 1
         self.budget = node_budget
         self.nodes = 0
-        self.canonical = canonical
-        self.everyone = (1 << self.v) - 1
-        self.covered = [0] * self.v
         self.lines: List[Tuple[int, ...]] = []
         self.solutions: List[List[Tuple[int, ...]]] = []
         self.exhausted = False
@@ -161,10 +156,6 @@ class _PlaneSearch:
         for x in line:
             covered[x] &= ~mask
         self.lines.pop()
-
-    def _admissible(self, line: Tuple[int, ...]) -> bool:
-        mask = sum(1 << x for x in line)
-        return not any(self.covered[x] & mask for x in line)
 
     def _free_subsets(self, pool: List[int], size: int):
         """The ``size``-subsets of ``pool`` with no covered pair inside, in
@@ -197,34 +188,41 @@ class _PlaneSearch:
         if pair is None:
             return None  # complete
         a, b = pair
-        if self.canonical:
-            free = (self.everyone ^ (self.covered[a] | self.covered[b])) >> (b + 1)
-            pool = []
-            while free:
-                low = free & -free
-                pool.append(b + low.bit_length())
-                free ^= low
-            return ((a, b) + rest for rest in self._free_subsets(pool, self.k - 2))
-        # plain order: any lex-greater admissible line covering the pair
-        floor = self.lines[-1] if self.lines else ()
-        return (
-            cand
-            for cand in combinations(range(self.v), self.k)
-            if cand > floor and a in cand and b in cand and self._admissible(cand)
-        )
+        free = (self.everyone ^ (self.covered[a] | self.covered[b])) >> (b + 1)
+        pool = []
+        while free:
+            low = free & -free
+            pool.append(b + low.bit_length())
+            free ^= low
+        return ((a, b) + rest for rest in self._free_subsets(pool, self.k - 2))
 
-    def run(self, first_only: bool, limit: Optional[int] = None) -> None:
+    def run(self, limit: Optional[int] = None) -> None:
+        """Search until ``limit`` solutions are found (all, for None) or the
+        node budget runs out; ``exhausted`` tells whether the space was.
+
+        A budget below v is spent before any row is built: a FOUND places
+        v lines, each a node, and exhausting the root tests v-q prefixes
+        and places C(v-2, q-1) >= v-q lines (order 1 always has its
+        triangle), so a NONE needs at least v nodes too.  Such a search
+        ends UNKNOWN with ``nodes`` equal to the budget, as the full
+        search would, and huge orders cost nothing under small budgets.
+        """
+        if self.budget < self.v:
+            self.nodes = self.budget
+            return
+        self.everyone = (1 << self.v) - 1
+        self.covered = [0] * self.v
         try:
-            self._dfs(first_only, limit)
+            self._dfs(limit)
             self.exhausted = True
         except _Stop:
             pass
 
-    def _dfs(self, first_only: bool, limit: Optional[int]) -> None:
+    def _dfs(self, limit: Optional[int]) -> None:
         cands = self._candidates()
         if cands is None:
             self.solutions.append(list(self.lines))
-            if first_only or (limit is not None and len(self.solutions) >= limit):
+            if limit is not None and len(self.solutions) >= limit:
                 raise _Stop
             return
         for cand in cands:
@@ -232,7 +230,7 @@ class _PlaneSearch:
                 raise _Stop
             self.nodes += 1
             self._place(cand)
-            self._dfs(first_only, limit)
+            self._dfs(limit)
             self._unplace(cand)
 
     def to_structure(self, lines: List[Tuple[int, ...]]) -> IncidenceStructure:
@@ -265,9 +263,7 @@ def clear_plane_cache() -> None:
     _plane_cache.clear()
 
 
-def find_projective_plane(
-    order: int, node_budget: int = 10_000_000, symmetry_breaking: bool = True
-) -> PlaneResult:
+def find_projective_plane(order: int, node_budget: int = 10_000_000) -> PlaneResult:
     """First complete (2,2) structure of the given order, by backtracking.
 
     FOUND results (and exhaustive NONE results) are cached per order and
@@ -275,10 +271,10 @@ def find_projective_plane(
     out before the space was exhausted.
     """
     _require_budgets(node_budget)
-    if symmetry_breaking and order in _plane_cache:
+    if order in _plane_cache:
         return _plane_cache[order]
-    search = _PlaneSearch(order, node_budget, canonical=symmetry_breaking)
-    search.run(first_only=True)
+    search = _PlaneSearch(order, node_budget)
+    search.run(limit=1)
     if search.solutions:
         result = PlaneResult(
             SearchStatus.FOUND, search.to_structure(search.solutions[0]), search.nodes
@@ -287,7 +283,7 @@ def find_projective_plane(
         result = PlaneResult(SearchStatus.NONE, nodes=search.nodes)
     else:
         result = PlaneResult(SearchStatus.UNKNOWN, nodes=search.nodes)
-    if symmetry_breaking and result.status is not SearchStatus.UNKNOWN:
+    if result.status is not SearchStatus.UNKNOWN:
         _plane_cache[order] = result
     return result
 
@@ -295,15 +291,15 @@ def find_projective_plane(
 def enumerate_projective_planes(
     order: int, node_budget: int = 10_000_000, limit: Optional[int] = None
 ):
-    """All labeled solutions of the canonical search, for uniqueness tests.
+    """All labeled solutions of the plane search, for uniqueness tests.
 
     Returns (planes, exhausted, nodes).  ``exhausted`` is False when the
     node budget (or ``limit``) cut the enumeration short, in which case
     the list is a prefix of the full solution set.
     """
     _require_budgets(node_budget)
-    search = _PlaneSearch(order, node_budget, canonical=True)
-    search.run(first_only=False, limit=limit)
+    search = _PlaneSearch(order, node_budget)
+    search.run(limit)
     planes = [search.to_structure(sol) for sol in search.solutions]
     return planes, search.exhausted, search.nodes
 

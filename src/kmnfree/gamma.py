@@ -80,22 +80,38 @@ class HTerm:
 
     Leaves carry a 0-based index into the assignment tuple; internal
     nodes have both children set.  Exactly one of the two forms holds.
+
+    The family's terms share sub-terms, so their trees grow exponentially
+    with the depth, and deep ones pass the recursion limit.  Terms are
+    built bottom-up, so the arity and the hash are computed once, when a
+    term is made, from its children's values; neither walks the tree.
+    Equality still compares trees: two separately built deep terms take
+    exponential time to compare.
     """
 
     var: Optional[int] = None
     left: Optional["HTerm"] = None
     right: Optional["HTerm"] = None
+    _arity: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        is_leaf = self.var is not None
-        has_children = self.left is not None or self.right is not None
-        if is_leaf and has_children:
-            raise ParameterError("a leaf term cannot have children")
-        if is_leaf:
+        if self.var is not None:
+            if self.left is not None or self.right is not None:
+                raise ParameterError("a leaf term cannot have children")
             if self.var < 0:
                 raise ParameterError("variable index must be non-negative")
+            arity, key = self.var + 1, hash(self.var)
         elif self.left is None or self.right is None:
             raise ParameterError("an internal term needs both children")
+        else:
+            arity = max(self.left._arity, self.right._arity)
+            key = hash((self.left._hash, self.right._hash))
+        object.__setattr__(self, "_arity", arity)
+        object.__setattr__(self, "_hash", key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def leaf(cls, index: int) -> "HTerm":
@@ -111,9 +127,7 @@ class HTerm:
 
     def arity(self) -> int:
         """Smallest assignment length this term can be evaluated on."""
-        if self.is_leaf:
-            return self.var + 1
-        return max(self.left.arity(), self.right.arity())
+        return self._arity
 
     def __str__(self) -> str:
         if self.is_leaf:
@@ -149,7 +163,7 @@ def h_term_eval(work: LazyCompletion, term: HTerm, assignment: Sequence[int]) ->
 
     The family's terms share sub-terms, which a tree walk would redo at
     every level: an explicit stack evaluates each once, memoised by ``id``
-    (an HTerm's hash walks its tree).  A repeated h_eval would spawn nothing.
+    (an HTerm's equality walks its tree).  A repeated h_eval would spawn nothing.
     """
     values: Dict[int, int] = {}
     stack = [term]

@@ -1,12 +1,16 @@
 """The command-line surface: documents, exit codes, output shapes."""
 
+import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +91,26 @@ def test_parse_rejections():
         with pytest.raises(DocumentError) as exc:
             parse_structure(text)
         assert needle in str(exc.value), text
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"m": true, "n": 2, "points": [], "lines": [], "incidences": []}',
+     "m and n must be integers"),
+    ('{"m": 2, "n": false, "points": [], "lines": [], "incidences": []}',
+     "m and n must be integers"),
+    ('{"m": 2, "n": 2, "points": [""], "lines": [], "incidences": []}',
+     "empty point name"),
+    ('{"m": 2, "n": 2, "points": [], "lines": ["z", ""], "incidences": []}',
+     "empty line name"),
+])
+def test_boolean_parameters_and_empty_names_are_refused(capsys, tmp_path, text,
+                                                        needle):
+    with pytest.raises(DocumentError, match=needle):
+        parse_structure(text)
+    f = tmp_path / "doc.json"
+    f.write_text(text)
+    code, doc, err = run_json(capsys, "check", str(f))
+    assert (code, doc) == (1, {"error": needle})
 
 
 def test_stage6_completion_document_round_trip_is_byte_exact(capsys, tmp_path):
@@ -457,17 +481,44 @@ def test_negative_budgets_are_usage_errors(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv, stages, elements", [
     (("complete", "Q"), 8, 100_000),
     (("pattern", "--instances", "3"), 1, 100_000),
-    (("embed", "Q"), 8, 200),
+    (("embed", "Q"), None, 200),
 ])
 def test_budget_defaults_per_command(capsys, argv, stages, elements):
     # each command's parser holds its own defaults, and its help says them
     args = _build_parser().parse_args(argv)
-    assert (args.stages, args.elements) == (stages, elements)
+    assert (getattr(args, "stages", None), args.elements) == (stages, elements)
     with pytest.raises(SystemExit):
         dispatch((argv[0], "--help"))
     text = " ".join(capsys.readouterr().out.split())
-    assert f"stage budget (default {stages})" in text
+    assert (f"stage budget (default {stages})" in text) == (stages is not None)
     assert f"element cap for workspaces (default {elements})" in text
+
+
+def test_every_registered_option_is_read_by_its_handler():
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = 0
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        read = set(re.findall(r"\bargs\.(\w+)",
+                              inspect.getsource(parser.get_default("run"))))
+        assert {a.dest for a in actions} == read, name
+        assert all(len(a.option_strings) <= 1 for a in actions), name  # no alias
+        options += sum(1 for a in actions if a.option_strings)
+    assert options == 60
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "Q", "--stages", "3"),
+    ("plane", "--order", "2", "--seed", "1"),
+    ("plane", "--order", "6", "--budget", "500"),
+])
+def test_flags_a_command_does_not_take_are_usage_errors(capsys, tmp_path, argv):
+    f = tmp_path / "q.json"
+    f.write_text(emit_structure(quadrangle_structure()))
+    code, doc, err = run_json(capsys, *(str(f) if a == "Q" else a for a in argv))
+    assert code == 1
+    assert list(doc) == ["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +539,20 @@ def test_unconverged_closure_exits_2(capsys, tmp_path, quad_run):
 
 def test_plane_budget_exits_2(capsys):
     code, doc, err = run_json(capsys, "plane", "--order", "6",
-                              "--budget", "500")
+                              "--nodes", "500")
     assert code == 2
     assert doc["status"] == "unknown"
+
+
+def test_plane_budget_below_the_point_count_ends_at_once(capsys):
+    # order 1000 has 1,001,001 points, so one node cannot place a plane;
+    # the search says so before it builds a row
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "plane", "--order", "1000", "--nodes", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert doc == {"command": "plane", "order": 1000, "status": "unknown",
+                   "nodes": 1}
 
 
 def test_budget_error_exits_2(capsys, tmp_path):

@@ -291,6 +291,13 @@ def test_params_validation():
         StructParams(0, 2)
 
 
+@pytest.mark.parametrize("m, n", [(True, 2), (2, False), (True, True)])
+def test_booleans_are_not_parameters(m, n):
+    # bool is an int subclass, so True would otherwise read as m = 1
+    with pytest.raises(ParameterError, match="m and n must be integers"):
+        StructParams(m, n)
+
+
 # ---------------------------------------------------------------------------
 # accessors, induced substructures, common neighbors
 

@@ -96,12 +96,6 @@ def test_large_order_allocates_no_pair_table():
     assert peak < 4 * 2**20
 
 
-def test_search_without_symmetry_breaking():
-    r = find_projective_plane(1, symmetry_breaking=False)
-    assert r.status is SearchStatus.FOUND
-    plane_invariants(r.plane, 1)
-
-
 def test_plane_cache_round_trip():
     clear_plane_cache()
     a = find_projective_plane(2)

@@ -264,6 +264,15 @@ def test_h_terms():
         h_term_eval(wq, t, (0, 1))
 
 
+def test_deep_term_arity_and_hash_take_no_tree_walk():
+    # the last term of a 600-bit member shares its sub-terms, so its tree,
+    # unshared, grows exponentially, and it nests past the recursion limit
+    g = gamma("01" * 300)
+    term = g.term_provenance[len(g.structure) - 1]
+    assert term.arity() == 4
+    assert {term: 1}[term] == 1
+
+
 def ref_h_term_eval(work, term, assignment):
     """Reference copy of the recursive evaluator, one h_eval per tree node."""
     if term.is_leaf:

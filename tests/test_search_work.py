@@ -76,7 +76,7 @@ def test_plane_search_nodes_are_pinned(order, lines):
     r = find_projective_plane(order)
     assert (r.status, r.nodes) == (SearchStatus.FOUND, PLANE_NODES[order])
     search = CountedPlaneSearch(order, 10**7)
-    search.run(first_only=True)
+    search.run(limit=1)
     assert (search.placed, search.nodes) == (lines, PLANE_NODES[order])
 
 
@@ -515,12 +515,12 @@ class FilteredPlaneSearch:
         for x in line:
             self.deg[x] += 1 if flag else -1
 
-    def dfs(self, first_only, limit):
+    def dfs(self, limit):
         pair = next(((a, b) for a in range(self.v) for b in range(a + 1, self.v)
                      if not self.used[a][b]), None)
         if pair is None:
             self.solutions.append(list(self.lines))
-            if first_only or (limit is not None and len(self.solutions) >= limit):
+            if limit is not None and len(self.solutions) >= limit:
                 raise ReferenceStop
             return
         for line in self.candidates(*pair):
@@ -528,29 +528,29 @@ class FilteredPlaneSearch:
             self.placed += 1
             self.mark(line, True)
             self.lines.append(line)
-            self.dfs(first_only, limit)
+            self.dfs(limit)
             self.lines.pop()
             self.mark(line, False)
 
-    def run(self, first_only, limit=None):
+    def run(self, limit=None):
         try:
-            self.dfs(first_only, limit)
+            self.dfs(limit)
             self.exhausted = True
         except ReferenceStop:
             pass
 
 
-def run_search(cls, order, first_only, limit=None, budget=10**7):
+def run_search(cls, order, limit=None, budget=10**7):
     """(solutions, exhausted, lines placed, nodes) of one search."""
     search = cls(order, budget)
-    search.run(first_only=first_only, limit=limit)
+    search.run(limit)
     return search.solutions, search.exhausted, search.placed, search.nodes
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_plane_search_matches_filtered_reference(order):
-    got = run_search(CountedPlaneSearch, order, first_only=True)
-    assert got == run_search(FilteredPlaneSearch, order, first_only=True)
+    got = run_search(CountedPlaneSearch, order, limit=1)
+    assert got == run_search(FilteredPlaneSearch, order, limit=1)
     assert got[3] == PLANE_NODES[order]
     # the plane is the first solution as a builder writes it, names included
     b = StructureBuilder(StructParams(2, 2))
@@ -568,8 +568,24 @@ def test_plane_search_matches_filtered_reference(order):
                                                 (3, None, 200), (4, 5, 10**7)])
 def test_plane_enumeration_matches_filtered_reference(order, limit, budget):
     # both count every prefix test, so at one budget they stop at one node
-    got = run_search(CountedPlaneSearch, order, False, limit, budget)
-    assert got == run_search(FilteredPlaneSearch, order, False, limit, budget)
+    got = run_search(CountedPlaneSearch, order, limit, budget)
+    assert got == run_search(FilteredPlaneSearch, order, limit, budget)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_budget_below_the_point_count_ends_unknown_at_the_budget(order):
+    # the search returns at once when the budget is below v; the reference
+    # runs the whole search and spends that budget without an answer
+    v = order * order + order + 1
+    for budget in range(v):
+        for limit in (1, None):
+            solutions, exhausted, _, nodes = run_search(
+                FilteredPlaneSearch, order, limit, budget)
+            assert (solutions, exhausted, nodes) == ([], False, budget)
+        clear_plane_cache()
+        r = find_projective_plane(order, node_budget=budget)
+        assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, budget)
+        assert enumerate_projective_planes(order, budget) == ([], False, budget)
 
 
 # ---------------------------------------------------------------------------
