@@ -7,7 +7,7 @@ checkers) is built on the small vocabulary here:
 * ``IncidenceStructure``: an immutable value.  Elements are opaque integer
   ids assigned in creation order; each has a sort and a display name.
 * ``StructureBuilder``: the one mutable construction path.  Incidence adds
-  are guarded by an incremental freeness check by default.
+  are guarded by default, by the freeness scan's grid search ``_grid``.
 * ``is_kmn_free`` / ``satisfies_complete``: the forbidden-configuration scan
   and the "every m points on exactly n-1 lines, every n lines on exactly m-1
   points" test, both with deterministic witnesses.  The freeness scan grows
@@ -276,13 +276,14 @@ def _primed_name(want: str, taken) -> str:
 class StructureBuilder:
     """Mutable builder; ``build()`` snapshots an immutable structure.
 
-    Incidence adds are guarded: add_incidence refuses (with a witness) any
-    incidence that would complete a K_{m,n}, unless guard=False.  Unguarded
-    adds are for induced substructures and reducts (substructures of free
-    structures are free), amalgams and pattern candidates (each scans its
-    result with ``is_kmn_free`` once), extensions, the fixed constructions in
-    ``gamma`` and found planes (free by the proof in each docstring), and
-    document parsing (a document may describe a non-free structure).
+    Incidence adds are guarded: add_incidence refuses (with a witness, found
+    by one ``_grid`` search) any incidence that would complete a K_{m,n},
+    unless guard=False.  Unguarded adds are for induced substructures and
+    reducts (substructures of free structures are free), amalgams and
+    pattern candidates (each scans its result with ``is_kmn_free`` once),
+    extensions, the fixed constructions in ``gamma`` and found planes (free
+    by the proof in each docstring), and document parsing (a document may
+    describe a non-free structure).
     Completion steps do not use the builder: they write the next stage
     directly (see ``completion.complete_step``).
     """
@@ -342,26 +343,17 @@ class StructureBuilder:
     def completion_witness(self, p: int, l: int) -> Optional[FreenessWitness]:
         """The K_{m,n} that adding incidence (p, l) would complete, if any.
 
-        Any such configuration has its other m-1 points already on l, so scan
-        (m-1)-subsets of l's point set; the candidate lines are those through
-        all of them and through p (counting l as through p once added).
+        Such a grid has its other m-1 points on l and all its lines through p
+        (l among them).  ``_grid`` returns the colex-first such set, as it
+        drops only prefixes already below n common lines; its result counts
+        only with n lines, which covers m = 1, where it returns at once.
         """
-        m, n = self.params.m, self.params.n
-        pts_on_l = sorted(self._adj[l] - {p})
-        for sigma in colex_combinations(pts_on_l, m - 1):
-            common = self._adj[p] | {l}
-            for q in sigma:
-                common = common & self._adj[q]
-                if len(common) < n:
-                    break
-            else:
-                if len(common) >= n:
-                    rest = sorted(common - {l})[: n - 1]
-                    return FreenessWitness(
-                        points=frozenset(sigma) | {p},
-                        lines=frozenset(rest) | {l},
-                    )
-        return None
+        m, n, adj = self.params.m, self.params.n, self._adj
+        found = _grid(adj, n, adj[p] | {l}, sorted(adj[l] - {p}), m - 1)
+        if found is None or len(found[1]) < n:
+            return None
+        rest = sorted(found[1] - {l})[: n - 1]
+        return FreenessWitness(frozenset(found[0]) | {p}, frozenset(rest) | {l})
 
     def add_incidence(self, p: int, l: int, guard: bool = True) -> None:
         if self._sorts[p] is not Sort.POINT:

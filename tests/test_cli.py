@@ -369,6 +369,14 @@ def test_gamma_command(capsys):
     assert len(doc["lines"]) == 18
 
 
+@pytest.mark.parametrize("command", ["gamma", "separate"])
+@pytest.mark.parametrize("eta", ["a", "\uff101"])
+def test_non_bits_exit_1_naming_the_bit(capsys, command, eta):
+    code, doc, err = run_json(capsys, command, "--eta", eta)
+    assert code == 1
+    assert doc == {"error": f"bit string may only contain 0 and 1, got {eta[0]!r}"}
+
+
 def test_sequence_command(capsys, tmp_path):
     f = tmp_path / "amb.json"
     f.write_text(emit_structure(build(2, 2, points=("b0",), lines=("c1",))))

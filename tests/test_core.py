@@ -284,6 +284,78 @@ def test_guarded_add_raises_with_witness():
     assert not is_kmn_free(bld.build())[0]
 
 
+# ---------------------------------------------------------------------------
+# the guard: one ``_grid`` search against the colex loop it replaced
+
+
+def reference_completion_witness(bld, p, l):
+    """The colex loop the guard ran before it called ``_grid``: every
+    (m-1)-subset of l's other points, intersecting p's lines (and l) with
+    each member's in ascending order, stopping once fewer than n remain."""
+    m, n = bld.params.m, bld.params.n
+    for sigma in colex_combinations(sorted(bld.neighbors(l) - {p}), m - 1):
+        common = bld.neighbors(p) | {l}
+        for q in sigma:
+            common = common & bld.neighbors(q)
+            if len(common) < n:
+                break
+        else:
+            if len(common) >= n:
+                rest = sorted(common - {l})[: n - 1]
+                return FreenessWitness(points=frozenset(sigma) | {p},
+                                       lines=frozenset(rest) | {l})
+    return None
+
+
+def random_adds(rng):
+    """A builder at m, n in 1..4 with 1-8 points and 1-8 lines, and 40
+    random (point, line) pairs to add to it."""
+    bld = StructureBuilder(StructParams(rng.randint(1, 4), rng.randint(1, 4)))
+    pts = [bld.add_point() for _ in range(rng.randint(1, 8))]
+    lns = [bld.add_line() for _ in range(rng.randint(1, 8))]
+    return bld, [(rng.choice(pts), rng.choice(lns)) for _ in range(40)]
+
+
+def test_guard_matches_the_colex_loop():
+    # One add in four skips the guard, so non-free states occur too.
+    rng = random.Random(20118)
+    refused = nonfree = 0
+    for _ in range(400):
+        bld, adds = random_adds(rng)
+        for p, l in adds:
+            got = bld.completion_witness(p, l)
+            assert got == reference_completion_witness(bld, p, l)
+            refused += got is not None
+            if got is None or rng.random() < 0.25:
+                bld.add_incidence(p, l, guard=False)
+        nonfree += oracle_has_grid(bld.build())
+    assert refused > 1000 and nonfree > 50
+
+
+def test_guard_refusals_and_guarded_runs_against_the_oracle():
+    # Read through ``neighbors`` only: each refused add's witness is a grid
+    # that (p, l) would complete, and what the guard lets in stays free.
+    rng = random.Random(20119)
+    refused = 0
+    for _ in range(400):
+        bld, adds = random_adds(rng)
+        m, n = bld.params.m, bld.params.n
+        for p, l in adds:
+            try:
+                bld.add_incidence(p, l)
+            except FreenessViolationError as exc:
+                refused += 1
+                w = exc.witness
+                assert p in w.points and l in w.lines
+                assert (len(w.points), len(w.lines)) == (m, n)
+                assert l not in bld.neighbors(p)
+                assert all(k in bld.neighbors(q) or (q, k) == (p, l)
+                           for q in w.points for k in w.lines)
+        s = bld.build()
+        assert is_kmn_free(s)[0] and not oracle_has_grid(s)
+    assert refused > 1000
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         StructParams(1.5, 2)

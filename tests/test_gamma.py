@@ -118,6 +118,16 @@ def test_rejects_non_bits():
         gamma((0, 2))
 
 
+@pytest.mark.parametrize("eta", ["\uff101", "0 1", "a", [0, 1.9], [True, False],
+                                 [0.0], ["01"], [2]])
+def test_bits_are_only_the_characters_and_ints_0_and_1(eta):
+    # int() would read a fullwidth zero, 1.9 and True as bits
+    with pytest.raises(ParameterError, match="may only contain 0 and 1"):
+        gamma(eta)
+    with pytest.raises(ParameterError, match="may only contain 0 and 1"):
+        separating_check(eta)
+
+
 def test_prefix_embeds_induced():
     big = gamma("011").structure
     for cut in ("", "0", "01"):
@@ -388,6 +398,19 @@ def test_fano_plane_shape():
     rep = satisfies_complete(f)
     assert rep.passed and bool(rep)
     assert is_kmn_free(f)[0]
+
+
+def test_fano_check_refuses_the_near_pencil():
+    # one line through six points, and a 2-point line from each to the
+    # seventh: complete on 7 points and 7 lines, but not every degree is 3
+    six = "abcdef"
+    near = build(2, 2, points=(*six, "z"), lines=("g", *(f"g{x}" for x in six)),
+                 incidences=[(x, "g") for x in six] + [(x, f"g{x}") for x in six]
+                 + [("z", f"g{x}") for x in six])
+    assert len(near) == 14 and satisfies_complete(near).passed
+    assert not gamma_module._is_fano(near)
+    assert gamma_module._is_fano(fano_plane())
+    assert not gamma_module._is_fano(build(2, 2))
 
 
 def test_fixed_constructions_skip_the_guard(monkeypatch):

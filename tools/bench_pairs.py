@@ -11,8 +11,13 @@ final JSON line of every run is appended to ``--out`` (created if missing)
 with its workload, seed, side, position in the pair, ``--tag`` and round
 count (perfbench's ``rounds N untraced`` line).  Afterwards the summary of
 every workload and tag in the file is recomputed: per metric and side, the
-median and quartiles, and how many pairs the change won; and per side the
-median round count, since ``peak_rss_mb`` grows with the rounds a run keeps.
+median and quartiles, and how many pairs the change won; per metric,
+``worse_by``, the fraction by which the change median is worse than the
+parent median (negative when better), and ``within_bound``, whether that is
+at most the metric's bound; and per side the median round count, since
+``peak_rss_mb`` grows with the rounds a run keeps.  Which direction is
+better, and each bound, come from the ``end_to_end`` list of the change
+checkout's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ import statistics
 import subprocess
 import sys
 
-LOWER_IS_BETTER = {"setup_s", "run_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb"}
+
+def benchmark(tree):
+    with open(os.path.join(tree, "BENCHMARK.json")) as f:
+        return json.load(f)
 
 
 def run_once(tree, workload, seed, trace):
-    with open(os.path.join(tree, "BENCHMARK.json")) as f:
-        seconds = json.load(f)["run_seconds"]
+    seconds = benchmark(tree)["run_seconds"]
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -50,7 +57,10 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def summarize(runs):
+def summarize(runs, rules):
+    """The summary of ``runs`` per workload and tag; ``rules`` is the
+    ``end_to_end`` list of ``BENCHMARK.json`` (name, better, bound)."""
+    rules = {r["name"]: r for r in rules}
     out = {}
     for key in sorted({(r["workload"], r["tag"]) for r in runs}):
         pairs = {}
@@ -68,12 +78,16 @@ def summarize(runs):
         for name in pairs[0]["parent"]["result"]["metrics"]:
             vals = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
                     for side in ("parent", "change")}
-            sign = -1 if name in LOWER_IS_BETTER else 1
+            sign = 1 if rules[name]["better"] == "higher" else -1
             wins = sum(1 for a, b in zip(vals["parent"], vals["change"])
                        if sign * (b - a) > 0)
             table[name] = {side: dict(zip(("q1", "median", "q3"), quartiles(v)))
                            for side, v in vals.items()}
             table[name]["change_wins"] = wins
+            before, after = (table[name][side]["median"] for side in ("parent", "change"))
+            worse_by = sign * (before - after) / before
+            table[name]["worse_by"] = worse_by
+            table[name]["within_bound"] = worse_by <= rules[name]["bound"]
         out["@".join(filter(None, key))] = table
     return out
 
@@ -95,6 +109,7 @@ def main(argv=None):
         with open(args.out) as f:
             doc = json.load(f)
     trees = {"parent": args.parent, "change": args.change}
+    rules = benchmark(args.change)["end_to_end"]
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for pos, side in enumerate(order):
@@ -106,7 +121,7 @@ def main(argv=None):
                   + json.dumps({k: round(v["value"], 4)
                                 for k, v in result["metrics"].items()
                                 if args.trace == 0}), flush=True)
-            doc["summary"] = summarize(doc["runs"])
+            doc["summary"] = summarize(doc["runs"], rules)
             with open(args.out, "w") as f:
                 json.dump(doc, f, indent=1, sort_keys=True)
                 f.write("\n")
