@@ -196,36 +196,29 @@ def free_amalgam(
     No incidences are added beyond those of the two sides.  The result is
     returned only if K-free; a violation raises FreenessViolationError with
     its witness (this can only happen when the base is not complete).
-    Name clashes between the two sides outside the base are resolved by
-    priming the right-hand name.
+    The amalgam is a copy of ``left``, which keeps its ids and names (so
+    ``left_map`` is the identity), grown by the right side's elements
+    outside the base, in id order, and the right side's incidences.  Such
+    an element whose name is taken is renamed by priming.
     """
     if not (base.params == left.params == right.params):
         raise ParameterError("all three structures must share parameters")
     _check_induced_embedding(base, left, left_embedding, "base into left")
     _check_induced_embedding(base, right, right_embedding, "base into right")
 
-    b = StructureBuilder(base.params)
-    left_map = {}
-    for e in left.elements():
-        nm = _primed_name(left.name(e), b._ids)
-        left_map[e] = b.add_point(nm) if left.is_point(e) else b.add_line(nm)
-    right_map = {}
-    shared = {right_embedding[a]: left_map[left_embedding[a]] for a in base.elements()}
+    b = StructureBuilder.from_structure(left)
+    right_map = {right_embedding[a]: left_embedding[a] for a in base.elements()}
     for e in right.elements():
-        if e in shared:
-            right_map[e] = shared[e]
-            continue
-        nm = _primed_name(right.name(e), b._ids)
-        right_map[e] = b.add_point(nm) if right.is_point(e) else b.add_line(nm)
-    for p, l in left.incidences():
-        b.add_incidence(left_map[p], left_map[l], guard=False)
+        if e not in right_map:
+            nm = _primed_name(right.name(e), b._ids)
+            right_map[e] = b.add_point(nm) if right.is_point(e) else b.add_line(nm)
     for p, l in right.incidences():
         b.add_incidence(right_map[p], right_map[l], guard=False)
     out = b.build()
     ok, witness = is_kmn_free(out)
     if not ok:
         raise FreenessViolationError(witness, "free amalgam")
-    return Amalgam(out, left_map, right_map)
+    return Amalgam(out, {e: e for e in left.elements()}, right_map)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +523,14 @@ def pattern_consistent(
     within an instance) run as soon as a block's target decides them, and a
     refuted partial assignment adds every assignment below it to the count
     at once.
+
+    A_T is the id prefix ``range(len(A_T))`` of the workspace, so closure
+    element ids serve as candidate ids unchanged.  The closure starts at
+    the base ids, which are the whole workspace, and each completed step
+    adds every element it spawned, so each recorded stage is the workspace
+    at its end.  A step that the element cap stops spawns only after the
+    last recorded stage, above its ids.  So the prefix holds whether or not
+    the closure converged.
     """
     _require_budgets(stage_budget, candidate_budget, element_cap)
     dg = pattern.diagram
@@ -607,7 +608,7 @@ def pattern_consistent(
             part_product.append((merges, blocks))
     part_product.sort(key=lambda t: (t[0], t[1]))
 
-    ground, ground_map = induced(ambient, a_t)
+    ground = induced(ambient, a_t)[0]
     candidates = 0
     survivor = None
 
@@ -658,20 +659,14 @@ def pattern_consistent(
         checks is K-free and, in exact mode, induces the diagram."""
         b = StructureBuilder.from_structure(ground)
         placed = {}
-        for i, (blk, tgt) in enumerate(zip(blocks, chosen)):
-            if tgt is not None:
-                eid = ground_map[tgt]
-            else:
-                eid = (
-                    b.add_point()
-                    if token_sort[blk[0]] is Sort.POINT
-                    else b.add_line()
-                )
+        for blk, eid in zip(blocks, chosen):
+            if eid is None:
+                eid = b.add_point() if token_sort[blk[0]] is Sort.POINT else b.add_line()
             for tok in blk:
                 placed[tok] = eid
 
         def image(t):
-            return placed[t] if isinstance(t, tuple) else ground_map[t]
+            return placed[t] if isinstance(t, tuple) else t
 
         for ptok, ltok in required:
             b.add_incidence(image(ptok), image(ltok), guard=False)

@@ -278,14 +278,12 @@ class StructureBuilder:
 
     Incidence adds are guarded: add_incidence refuses (with a witness, found
     by one ``_grid`` search) any incidence that would complete a K_{m,n},
-    unless guard=False.  Unguarded adds are for induced substructures and
-    reducts (substructures of free structures are free), amalgams and
-    pattern candidates (each scans its result with ``is_kmn_free`` once),
-    extensions, the fixed constructions in ``gamma`` and found planes (free
-    by the proof in each docstring), and document parsing (a document may
-    describe a non-free structure).
-    Completion steps do not use the builder: they write the next stage
-    directly (see ``completion.complete_step``).
+    unless guard=False.  Unguarded adds are for amalgams and pattern
+    candidates (each scans its result with ``is_kmn_free`` once),
+    extensions and the fixed constructions in ``gamma`` (free by the proof
+    in each docstring), and document parsing (a document may describe a
+    non-free structure).  Completion steps, found planes and ``induced``
+    do not use the builder: they write their result directly.
     """
 
     def __init__(self, params: StructParams):
@@ -682,21 +680,18 @@ def embedding_fault(small: IncidenceStructure, big: IncidenceStructure,
 
 
 def induced(s: IncidenceStructure, keep: Iterable[int]):
-    """The induced substructure on ``keep``; returns (structure, old->new)."""
+    """The induced substructure on ``keep``; returns (structure, old->new).
+
+    Kept elements are renumbered by rank and keep their sorts and names.
+    Written directly: a substructure needs none of the builder's checks."""
     keep = sorted(set(keep))
     for e in keep:
         if e not in s.elements():
             raise ParameterError(f"element {e} not in structure")
-    remap = {}
-    b = StructureBuilder(s.params)
-    for e in keep:
-        if s.is_point(e):
-            remap[e] = b.add_point(s.name(e))
-        else:
-            remap[e] = b.add_line(s.name(e))
-    for e in keep:
-        if s.is_point(e):
-            for l in sorted(s.neighbors(e)):
-                if l in remap:
-                    b.add_incidence(remap[e], remap[l], guard=False)
-    return b.build(), remap
+    remap = {e: i for i, e in enumerate(keep)}
+    return IncidenceStructure(
+        s.params,
+        tuple(s._sorts[e] for e in keep),
+        tuple(s._names[e] for e in keep),
+        tuple(frozenset(remap[x] for x in s._adj[e] if x in remap) for e in keep),
+    ), remap

@@ -29,10 +29,11 @@ budget hit is reported as UNKNOWN rather than an error, since exhausting
 the space is the only way to conclude NONE.
 """
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     BudgetError,
@@ -157,7 +158,7 @@ class _PlaneSearch:
             covered[x] &= ~mask
         self.lines.pop()
 
-    def _free_subsets(self, pool: List[int], size: int):
+    def _free_subsets(self, pool: Sequence[int], size: int):
         """The ``size``-subsets of ``pool`` with no covered pair inside, in
         lexicographic order: ``combinations(pool, size)`` filtered by the
         pair test, with each prefix tested once for all its extensions.
@@ -189,7 +190,7 @@ class _PlaneSearch:
             return None  # complete
         a, b = pair
         free = (self.everyone ^ (self.covered[a] | self.covered[b])) >> (b + 1)
-        pool = []
+        pool = array("I")  # 4 bytes a point: every open level keeps its pool
         while free:
             low = free & -free
             pool.append(b + low.bit_length())

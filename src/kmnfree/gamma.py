@@ -84,8 +84,10 @@ class HTerm:
     with the depth, and deep ones pass the recursion limit.  Terms are
     built bottom-up, so the arity and the hash are computed once, when a
     term is made, from its children's values; neither walks the tree.
-    Equality still compares trees: two separately built deep terms take
-    exponential time to compare.
+    Equality walks the two DAGs together, without recursion, and compares
+    each pair of nodes once: the pairs already compared are kept by
+    identity.  Its cost is linear in the number of node pairs reached.
+    ``str`` and ``repr`` still walk the whole tree.
     """
 
     var: Optional[int] = None
@@ -111,6 +113,22 @@ class HTerm:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HTerm):
+            return NotImplemented
+        seen = set()
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a._hash != b._hash or a.var != b.var:
+                return False
+            seen.add((id(a), id(b)))
+            if a.var is None:
+                todo += ((a.left, b.left), (a.right, b.right))
+        return True
 
     @classmethod
     def leaf(cls, index: int) -> "HTerm":
@@ -215,7 +233,7 @@ class GammaStructure:
 
     eta: Tuple[int, ...]
     structure: IncidenceStructure
-    term_provenance: Dict[int, HTerm]
+    term_provenance: Dict[int, HTerm] = field(repr=False)
 
     def id_of(self, name: str) -> int:
         return self.structure.by_name(name)

@@ -249,9 +249,11 @@ def indep_sequence(
 
     Each new tuple is a fresh copy of the closure of bc over the closure of
     c, attached by free amalgamation (so b_i is isomorphic to b over c by
-    construction).  Independence of each b_i from its predecessors is then
-    verified post hoc with the requested checker; a failure means a bug in
-    the construction and raises RuntimeError.
+    construction).  The amalgam keeps its left side's ids, so the earlier
+    tuples, c and the base embedding carry over unchanged.  Independence of
+    each b_i from its predecessors is then verified post hoc with the
+    requested checker; a failure means a bug in the construction and raises
+    RuntimeError.
     """
     if relation not in (Relation.ALG, Relation.I):
         raise ParameterError("sequences are built for the ALG and I relations")
@@ -274,9 +276,6 @@ def indep_sequence(
     c_ids = frozenset(c)
     for _ in range(length - 1):
         am = free_amalgam(d_struct, current, x_struct, d_in_current, d_into_x)
-        tuples = [tuple(am.left_map[e] for e in t) for t in tuples]
-        c_ids = frozenset(am.left_map[e] for e in c_ids)
-        d_in_current = {k: am.left_map[v] for k, v in d_in_current.items()}
         tuples.append(tuple(am.right_map[x_map[e]] for e in b))
         current = am.structure
 

@@ -111,6 +111,94 @@ def test_free_amalgam_randomized_against_oracle():
         assert is_kmn_free(am.structure)[0]
 
 
+def reference_free_amalgam(base, left, right, lmap, rmap):
+    """Reference copy of ``free_amalgam`` as it re-added both sides through
+    the builder, without its checks and freeness scan."""
+    b = StructureBuilder(base.params)
+    left_map, right_map = {}, {}
+    for e in left.elements():
+        nm = core._primed_name(left.name(e), b._ids)
+        left_map[e] = b.add_point(nm) if left.is_point(e) else b.add_line(nm)
+    shared = {rmap[a]: left_map[lmap[a]] for a in base.elements()}
+    for e in right.elements():
+        if e in shared:
+            right_map[e] = shared[e]
+            continue
+        nm = core._primed_name(right.name(e), b._ids)
+        right_map[e] = b.add_point(nm) if right.is_point(e) else b.add_line(nm)
+    for p, l in left.incidences():
+        b.add_incidence(left_map[p], left_map[l], guard=False)
+    for p, l in right.incidences():
+        b.add_incidence(right_map[p], right_map[l], guard=False)
+    return b.build(), left_map, right_map
+
+
+def random_amalgam_inputs(rng):
+    """(base, left, right, lmap, rmap): ``base`` induced on a random subset
+    of a random ``right``; ``left`` holds a copy of it among private
+    elements, in random id order, whose names may clash with ``right``'s."""
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    right = random_free_structure(rng, m, n, max_elements=8)
+    base_ids = sorted(rng.sample(list(right.elements()), rng.randint(0, min(3, len(right)))))
+    base, remap = induced(right, base_ids)
+    taken = set(base.names(base.elements()))
+    private = [nm for nm in ("p0", "p1", "l0", "l1", "x", "x'") if nm not in taken]
+    order = [("base", a) for a in base.elements()]
+    order += [("new", nm) for nm in rng.sample(private, rng.randint(0, len(private)))]
+    rng.shuffle(order)
+    b = StructureBuilder(base.params)
+    lmap = {}
+    for kind, x in order:
+        if kind == "base":
+            nm, point = base.name(x), base.is_point(x)
+        else:
+            nm, point = x, rng.random() < 0.5
+        e = b.add_point(nm) if point else b.add_line(nm)
+        if kind == "base":
+            lmap[x] = e
+    for p, l in base.incidences():
+        b.add_incidence(lmap[p], lmap[l])
+    own = set(range(len(order))) - set(lmap.values())
+    pts = [e for e in range(len(order)) if b.sort(e) is Sort.POINT]
+    lns = [e for e in range(len(order)) if b.sort(e) is Sort.LINE]
+    for _ in range(rng.randint(0, 10)):
+        if pts and lns:
+            p, l = rng.choice(pts), rng.choice(lns)
+            if p in own or l in own:
+                try:
+                    b.add_incidence(p, l)
+                except FreenessViolationError:
+                    pass
+    rmap = {remap[e]: e for e in base_ids}
+    return base, b.build(), right, lmap, rmap
+
+
+def test_free_amalgam_keeps_the_left_side_and_matches_the_builder_copy():
+    rng = random.Random(19_002)
+    built = refused = 0
+    for _ in range(300):
+        base, left, right, lmap, rmap = random_amalgam_inputs(rng)
+        want, want_left, want_right = reference_free_amalgam(base, left, right, lmap, rmap)
+        try:
+            am = free_amalgam(base, left, right, lmap, rmap)
+        except FreenessViolationError as err:
+            refused += 1
+            assert is_kmn_free(want) == (False, err.witness)
+            continue
+        built += 1
+        assert am.structure == want
+        assert am.left_map == want_left == {e: e for e in left.elements()}
+        assert am.right_map == want_right
+        base_in_left = set(lmap.values())
+        for e in left.elements():
+            assert am.structure.name(e) == left.name(e)
+            assert am.structure.sort(e) is left.sort(e)
+            if e not in base_in_left:
+                assert am.structure.neighbors(e) == left.neighbors(e)
+            assert {x for x in am.structure.neighbors(e) if x < len(left)} == left.neighbors(e)
+    assert built > 200 and refused > 0
+
+
 def test_free_amalgam_rejects_bad_embedding():
     base = build(2, 2, points=("p",))
     left = build(2, 2, points=("p",))

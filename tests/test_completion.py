@@ -377,6 +377,26 @@ def test_lazy_spawns_forced_elements(quadrangle):
     assert p == 0
 
 
+def test_lazy_closure_of_the_base_is_an_id_prefix():
+    # pattern_consistent uses closure ids as ids of the induced ground
+    # structure: each recorded stage is the workspace as its step ended,
+    # and a step that the cap stops spawns only above the last stage
+    rng = random.Random(19_003)
+    seen = set()
+    for _ in range(200):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        s = random_free_structure(rng, m, n, max_elements=7)
+        work = LazyCompletion(s, element_cap=len(s) + rng.randint(0, 40))
+        run = work.closure(s.elements(), rng.randint(0, 4))
+        for stage in run.stages:
+            assert stage == frozenset(range(len(stage)))
+        assert len(work) >= len(run.closure_set)
+        seen.add("converged" if run.converged else "capped" if run.capped else "budget")
+        if run.capped and len(work) > len(run.closure_set):
+            seen.add("spawned above the closure")
+    assert seen == {"converged", "capped", "budget", "spawned above the closure"}
+
+
 def test_lazy_monster_closed(quadrangle):
     work = LazyCompletion(quadrangle, element_cap=1000)
     closed, _ = work.is_monster_closed(frozenset())

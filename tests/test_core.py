@@ -408,6 +408,44 @@ def test_common_neighbors_and_induced():
     assert sub.name(remap[s.by_name("a")]) == "a"
 
 
+def reference_induced(s, keep):
+    """Reference copy of ``induced`` as it was built through the builder."""
+    keep = sorted(set(keep))
+    remap, b = {}, StructureBuilder(s.params)
+    for e in keep:
+        remap[e] = b.add_point(s.name(e)) if s.is_point(e) else b.add_line(s.name(e))
+    for e in keep:
+        if s.is_point(e):
+            for l in sorted(s.neighbors(e)):
+                if l in remap:
+                    b.add_incidence(remap[e], remap[l], guard=False)
+    return b.build(), remap
+
+
+def test_induced_matches_the_builder_copy():
+    rng = random.Random(19_001)
+    for trial in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        s = random_free_structure(rng, m, n, max_elements=12)
+        elems = list(s.elements())
+        keep = [] if trial % 10 == 0 else rng.sample(elems, rng.randint(0, len(elems)))
+        got, remap = induced(s, keep)
+        want, want_remap = reference_induced(s, keep)
+        assert got == want and remap == want_remap
+        for e, i in remap.items():
+            assert (got.sort(i), got.name(i)) == (s.sort(e), s.name(e))
+            assert got.neighbors(i) == {remap[x] for x in s.neighbors(e) if x in remap}
+    s = build(2, 2, points=("a", "b", "c"), lines=("u",),
+              incidences=[("a", "u"), ("c", "u")])
+    sub, remap = induced(s, [3, 2])  # not a prefix
+    assert remap == {2: 0, 3: 1}
+    assert (sub.name(0), sub.name(1), sub.neighbors(0)) == ("c", "u", frozenset({1}))
+    empty, remap = induced(s, ())
+    assert (len(empty), remap, empty.params) == (0, {}, s.params)
+    with pytest.raises(ParameterError):
+        induced(s, [0, 4])
+
+
 # ---------------------------------------------------------------------------
 # isomorphism over a base
 

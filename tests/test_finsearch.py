@@ -19,7 +19,7 @@ from kmnfree import (
     satisfies_complete,
 )
 from kmnfree import core
-from kmnfree.finsearch import clear_plane_cache
+from kmnfree.finsearch import _PlaneSearch, clear_plane_cache
 
 from conftest import build
 
@@ -94,6 +94,21 @@ def test_large_order_allocates_no_pair_table():
         tracemalloc.stop()
     assert (r.status, r.nodes) == (SearchStatus.UNKNOWN, 100)
     assert peak < 4 * 2**20
+
+
+def test_open_levels_keep_compact_candidate_pools():
+    # every open level of the search keeps its candidate pool, up to v
+    # points; at order 60 (v = 3,661) a budget of 20,000 nodes opens 65
+    # levels, which peaked at 9 MB with the pools held as lists of ints
+    search = _PlaneSearch(60, 20_000)
+    tracemalloc.start()
+    try:
+        search.run(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (search.nodes, len(search.lines), search.solutions) == (20_000, 65, [])
+    assert peak < 6 * 2**20
 
 
 def test_plane_cache_round_trip():

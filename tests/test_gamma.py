@@ -283,6 +283,36 @@ def test_deep_term_arity_and_hash_take_no_tree_walk():
     assert {term: 1}[term] == 1
 
 
+def h_chain(depth, top=None):
+    """t = H(t, t), ``depth`` times from x1; the last right argument may be
+    ``top`` instead.  The tree has 2^depth leaves over depth+1 nodes."""
+    t = HTerm.leaf(0)
+    for i in range(depth):
+        t = HTerm.h(t, top if top is not None and i == depth - 1 else t)
+    return t
+
+
+def test_term_equality_walks_each_node_pair_once():
+    # separately built, so no sub-term is shared between the two sides
+    assert h_chain(2_000) == h_chain(2_000)
+    assert h_chain(2_000) != h_chain(2_000, top=HTerm.leaf(1))
+    assert h_chain(2_000) != h_chain(1_999)
+    assert HTerm.leaf(0) != HTerm.leaf(1) and HTerm.leaf(2) == HTerm.leaf(2)
+    assert HTerm.leaf(0) != "x1"
+
+
+def test_separately_built_members_compare_equal():
+    a, b = gamma("01" * 10), gamma("01" * 10)
+    last = len(a.structure) - 1
+    assert a.term_provenance[last] is not b.term_provenance[last]
+    assert a == b
+    assert a != gamma("01" * 9 + "00")
+
+
+def test_member_repr_leaves_out_the_terms():
+    assert len(repr(gamma("01" * 300))) < 5_000
+
+
 def ref_h_term_eval(work, term, assignment):
     """Reference copy of the recursive evaluator, one h_eval per tree node."""
     if term.is_leaf:
