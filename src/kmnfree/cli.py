@@ -25,10 +25,12 @@ default 10000000); a negative budget is a usage error.  Each subcommand
 takes only the budgets it uses, so any other flag is a usage error.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .amalgam import (
     GlueHypothesisError,
@@ -50,6 +52,7 @@ from .completion import (
 from .core import (
     IncidenceStructure,
     ParameterError,
+    Sort,
     StructParams,
     StructureBuilder,
     is_kmn_free,
@@ -119,7 +122,7 @@ def parse_structure(text: str) -> IncidenceStructure:
         raise DocumentError("'provenance' must be an object")
 
     bld = StructureBuilder(StructParams(doc["m"], doc["n"]))
-    sort_of: Dict[str, str] = {}
+    ids = bld._ids
     for key, add, sort in (("points", bld.add_point, "point"),
                            ("lines", bld.add_line, "line")):
         for name in doc[key]:
@@ -127,10 +130,9 @@ def parse_structure(text: str) -> IncidenceStructure:
                 raise DocumentError(f"{sort} name {name!r} is not a string")
             if not name:
                 raise DocumentError(f"empty {sort} name")
-            if name in sort_of:
+            if name in ids:
                 raise DocumentError(f"duplicate name: {name}")
             add(name)
-            sort_of[name] = sort
     for entry in doc["incidences"]:
         if (
             not isinstance(entry, list)
@@ -138,14 +140,12 @@ def parse_structure(text: str) -> IncidenceStructure:
             or not all(isinstance(x, str) for x in entry)
         ):
             raise DocumentError(f"bad incidence entry: {entry!r}")
-        pname, lname = entry
-        for name, want in ((pname, "point"), (lname, "line")):
-            got = sort_of.get(name)
-            if got is None:
+        for name, want in zip(entry, (Sort.POINT, Sort.LINE)):
+            if name not in ids:
                 raise DocumentError(f"unknown name: {name}")
-            if got != want:
-                raise DocumentError(f"{name} is not a {want}")
-        bld.add_incidence(bld.by_name(pname), bld.by_name(lname), guard=False)
+            if bld.sort(ids[name]) is not want:
+                raise DocumentError(f"{name} is not a {want.value}")
+        bld.add_incidence(ids[entry[0]], ids[entry[1]], guard=False)
     return bld.build()
 
 
@@ -592,6 +592,7 @@ def _cmd_pattern(args) -> int:
     if args.instances < 1:
         raise UsageError("instances must be >= 1")
     bld = StructureBuilder(StructParams(args.m, args.n))
+    pat = tp2_pattern(args.m, args.n)  # refuses m, n < 2 before any search
     b0 = bld.add_point("b0")
     cs = [bld.add_line(f"c{j}") for j in range(1, args.n)]
     ambient = bld.build()
@@ -599,7 +600,6 @@ def _cmd_pattern(args) -> int:
         ambient, (b0,), frozenset(cs), args.instances,
         stage_budget=8, element_cap=args.elements,
     )
-    pat = tp2_pattern(args.m, args.n)
     instances = [t + tuple(sorted(seq.c_ids)) for t in seq.tuples]
     v = pattern_consistent(
         seq.ambient, pat, instances,

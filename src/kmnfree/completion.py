@@ -163,7 +163,7 @@ def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
     sorts = (Sort.LINE,) * len(defs.point_sets) + (Sort.POINT,) * len(defs.line_sets)
     names, gained = [], defaultdict(list)
     for e, srt, spawner in zip(count(len(s)), sorts, spawners):
-        names.append(_default_name(srt, e, s._by_name))
+        names.append(_default_name(srt, e, s._ids))
         for q in spawner:
             gained[q].append(e)
     adj = list(s._adj)
@@ -325,8 +325,8 @@ def _is_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure,
             and embedding_fault(s1, s2, corr) is None)
 
 
-class LazyCompletion:
-    """A canonical-completion workspace over a base structure.
+class LazyCompletion(StructureBuilder):
+    """A canonical-completion workspace: a builder grown from its base.
 
     Grows the base by exactly the fresh elements forced by same-sort sets:
     ``forced`` gives an m-set of distinct points its full n-1 common lines
@@ -342,46 +342,34 @@ class LazyCompletion:
     def __init__(self, base: IncidenceStructure, element_cap: int = 100_000):
         _require_budgets(element_cap)
         _require_free(base, "ambient structure")
+        super().__init__(base.params)
+        self._copy(base)
         self.base = base
-        self.params = base.params
-        self.builder = StructureBuilder.from_structure(base)
         self.element_cap = element_cap
         self._snapshot: Optional[IncidenceStructure] = None
 
-    def __len__(self) -> int:
-        return len(self.builder)
-
     def snapshot(self) -> IncidenceStructure:
         if self._snapshot is None:
-            self._snapshot = self.builder.build()
+            self._snapshot = self.build()
         return self._snapshot
-
-    def name(self, e: int) -> str:
-        return self.builder.name(e)
-
-    def sort(self, e: int) -> Sort:
-        return self.builder.sort(e)
-
-    def neighbors(self, e: int) -> set:
-        return self.builder.neighbors(e)
 
     @property
     def provenance(self) -> dict:
         """spawned element id -> Provenance, in spawn order."""
-        adj = self.builder._adj
+        adj = self._adj
         return {e: Provenance(e, -1, _spawner(adj, e))
                 for e in range(len(self.base), len(adj))}
 
     def _spawn(self, sort: Sort, spawner: Sequence[int]) -> int:
-        if len(self.builder) + 1 > self.element_cap:
+        if len(self) + 1 > self.element_cap:
             raise BudgetError(
                 f"canonical completion workspace exceeded {self.element_cap} elements"
             )
         self._snapshot = None
         line = sort is Sort.LINE
-        fresh = self.builder.add_line() if line else self.builder.add_point()
+        fresh = self.add_line() if line else self.add_point()
         for e in sorted(spawner):
-            self.builder.add_incidence(*((e, fresh) if line else (fresh, e)))
+            self.add_incidence(*((e, fresh) if line else (fresh, e)))
         return fresh
 
     def forced(self, sub: Sequence[int]) -> frozenset:
@@ -393,9 +381,9 @@ class LazyCompletion:
         Unchecked: ``sub`` is a sorted sequence of m distinct points or of n
         distinct lines.
         """
-        nb = self.builder.neighbors
-        have = nb(sub[0]).intersection(*map(nb, sub[1:]))
-        if self.builder.sort(sub[0]) is Sort.POINT:
+        adj = self._adj
+        have = adj[sub[0]].intersection(*[adj[e] for e in sub[1:]])
+        if self._sorts[sub[0]] is Sort.POINT:
             sort, want = Sort.LINE, self.params.n - 1
         else:
             sort, want = Sort.POINT, self.params.m - 1
@@ -412,7 +400,7 @@ class LazyCompletion:
         if len(elems) != k:
             raise ParameterError(f"need exactly {k} distinct {sort.value}s")
         for e in elems:
-            if self.builder.sort(e) is not sort:
+            if self._sorts[e] is not sort:
                 raise ParameterError(f"{caller} takes {sort.value}s")
         return elems
 

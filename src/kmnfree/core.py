@@ -8,6 +8,8 @@ checkers) is built on the small vocabulary here:
   ids assigned in creation order; each has a sort and a display name.
 * ``StructureBuilder``: the one mutable construction path.  Incidence adds
   are guarded by default, by the freeness scan's grid search ``_grid``.
+  ``completion.LazyCompletion`` is a builder that spawns.  All three read
+  their sorts, names, adjacency and name index through the base ``_Store``.
 * ``is_kmn_free`` / ``satisfies_complete``: the forbidden-configuration scan
   and the "every m points on exactly n-1 lines, every n lines on exactly m-1
   points" test, both with deterministic witnesses.  The freeness scan grows
@@ -127,7 +129,33 @@ def colex_combinations(items: Sequence[int], k: int) -> Iterator[tuple]:
         c[j] += 1
 
 
-class IncidenceStructure:
+class _Store:
+    """The element readers of a store: ``_sorts``, ``_names`` and ``_adj``
+    indexed by element id, and ``_ids`` from name to id."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._sorts)
+
+    def sort(self, e: int) -> Sort:
+        return self._sorts[e]
+
+    def name(self, e: int) -> str:
+        return self._names[e]
+
+    def by_name(self, name: str) -> int:
+        try:
+            return self._ids[name]
+        except KeyError:
+            raise ParameterError(f"no element named {name!r}") from None
+
+    def neighbors(self, e: int):
+        """All elements of the opposite sort incident with e."""
+        return self._adj[e]
+
+
+class IncidenceStructure(_Store):
     """An immutable finite two-sorted incidence structure.
 
     Element ids are 0..N-1 in creation order.  Adjacency is stored per
@@ -136,7 +164,7 @@ class IncidenceStructure:
     """
 
     __slots__ = (
-        "params", "_sorts", "_names", "_adj", "_by_name", "_hash",
+        "params", "_sorts", "_names", "_adj", "_ids", "_hash",
         "_points", "_lines",
     )
 
@@ -151,15 +179,12 @@ class IncidenceStructure:
         self._sorts = sorts
         self._names = names
         self._adj = adj
-        self._by_name = {name: e for e, name in enumerate(names)}
+        self._ids = {name: e for e, name in enumerate(names)}
         self._hash = None
         self._points = None
         self._lines = None
 
     # -- basic accessors ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._sorts)
 
     def elements(self) -> range:
         return range(len(self._sorts))
@@ -180,33 +205,17 @@ class IncidenceStructure:
             )
         return self._lines
 
-    def sort(self, e: int) -> Sort:
-        return self._sorts[e]
-
     def is_point(self, e: int) -> bool:
         return self._sorts[e] is Sort.POINT
 
     def is_line(self, e: int) -> bool:
         return self._sorts[e] is Sort.LINE
 
-    def name(self, e: int) -> str:
-        return self._names[e]
-
     def names(self, es: Iterable[int]) -> list:
         return sorted(self._names[e] for e in es)
 
-    def by_name(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ParameterError(f"no element named {name!r}") from None
-
     def has_name(self, name: str) -> bool:
-        return name in self._by_name
-
-    def neighbors(self, e: int) -> frozenset:
-        """All elements of the opposite sort incident with e."""
-        return self._adj[e]
+        return name in self._ids
 
     def forced(self, sub: Sequence[int]) -> frozenset:
         """The elements incident with every member of ``sub``: for an m-set
@@ -273,7 +282,7 @@ def _primed_name(want: str, taken) -> str:
     return want
 
 
-class StructureBuilder:
+class StructureBuilder(_Store):
     """Mutable builder; ``build()`` snapshots an immutable structure.
 
     Incidence adds are guarded: add_incidence refuses (with a witness, found
@@ -282,8 +291,9 @@ class StructureBuilder:
     candidates (each scans its result with ``is_kmn_free`` once),
     extensions and the fixed constructions in ``gamma`` (free by the proof
     in each docstring), and document parsing (a document may describe a
-    non-free structure).  Completion steps, found planes and ``induced``
-    do not use the builder: they write their result directly.
+    non-free structure).  ``completion.LazyCompletion`` is a builder whose
+    spawns take the guarded add.  Completion steps, found planes and
+    ``induced`` do not use the builder: they write their result directly.
     """
 
     def __init__(self, params: StructParams):
@@ -293,32 +303,18 @@ class StructureBuilder:
         self._adj: list = []
         self._ids: dict = {}  # name -> element id
 
-    @classmethod
-    def from_structure(cls, s: IncidenceStructure) -> "StructureBuilder":
-        b = cls(s.params)
-        b._sorts = list(s._sorts)
-        b._names = list(s._names)
-        b._adj = [set(a) for a in s._adj]
-        b._ids = dict(s._by_name)
-        return b
+    @staticmethod
+    def from_structure(s: IncidenceStructure) -> "StructureBuilder":
+        """A plain builder holding a copy of ``s``, also on a subclass."""
+        return StructureBuilder(s.params)._copy(s)
 
-    def __len__(self) -> int:
-        return len(self._sorts)
-
-    def sort(self, e: int) -> Sort:
-        return self._sorts[e]
-
-    def name(self, e: int) -> str:
-        return self._names[e]
-
-    def by_name(self, name: str) -> int:
-        try:
-            return self._ids[name]
-        except KeyError:
-            raise ParameterError(f"no element named {name!r}") from None
-
-    def neighbors(self, e: int) -> set:
-        return self._adj[e]
+    def _copy(self, s: IncidenceStructure) -> "StructureBuilder":
+        """Replace the store by a copy of ``s``'s; returns self."""
+        self._sorts = list(s._sorts)
+        self._names = list(s._names)
+        self._adj = [set(a) for a in s._adj]
+        self._ids = dict(s._ids)
+        return self
 
     def _add_element(self, sort: Sort, name: Optional[str]) -> int:
         e = len(self._sorts)

@@ -29,6 +29,8 @@ budget hit is reported as UNKNOWN rather than an error, since exhausting
 the space is the only way to conclude NONE.
 """
 
+from __future__ import annotations
+
 from array import array
 from dataclasses import dataclass
 from enum import Enum

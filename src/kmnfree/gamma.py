@@ -30,8 +30,11 @@ Contents:
   configuration into a Fano subplane that free completion never forms.
 """
 
+from __future__ import annotations
+
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     BudgetError,
@@ -87,7 +90,8 @@ class HTerm:
     Equality walks the two DAGs together, without recursion, and compares
     each pair of nodes once: the pairs already compared are kept by
     identity.  Its cost is linear in the number of node pairs reached.
-    ``str`` and ``repr`` still walk the whole tree.
+    ``str`` and ``repr`` write each inner sub-term that occurs more than
+    once a single time, under a name: ``H(t1,t1) where t1 = H(x1,x2)``.
     """
 
     var: Optional[int] = None
@@ -117,18 +121,7 @@ class HTerm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HTerm):
             return NotImplemented
-        seen = set()
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if a._hash != b._hash or a.var != b.var:
-                return False
-            seen.add((id(a), id(b)))
-            if a.var is None:
-                todo += ((a.left, b.left), (a.right, b.right))
-        return True
+        return _same_terms([(self, other)])
 
     @classmethod
     def leaf(cls, index: int) -> "HTerm":
@@ -147,9 +140,77 @@ class HTerm:
         return self._arity
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return f"x{self.var + 1}"
-        return f"H({self.left},{self.right})"
+        """Sub-terms are told apart by value.  Those with two or more
+        parents are named t1, t2, ... children first, so each definition
+        after ``where`` uses only earlier names."""
+        keys = _term_nodes(self)
+        uses = Counter(i for key in keys if len(key) == 2 for i in key)
+        named: Dict[int, str] = {}
+        for i, key in enumerate(keys):
+            if len(key) == 2 and uses[i] > 1:
+                named[i] = f"t{len(named) + 1}"
+
+        def text(top: int) -> str:
+            out, todo = [], [top]
+            while todo:
+                i = todo.pop()
+                if type(i) is str:
+                    out.append(i)
+                elif len(keys[i]) == 1:
+                    out.append(f"x{keys[i][0] + 1}")
+                elif i in named and i != top:
+                    out.append(named[i])
+                else:
+                    out.append("H(")
+                    todo += (")", keys[i][1], ",", keys[i][0])
+            return "".join(out)
+
+        where = ", ".join(f"{name} = {text(i)}" for i, name in named.items())
+        return text(len(keys) - 1) + (f" where {where}" if where else "")
+
+    __repr__ = __str__
+
+
+def _same_terms(pairs: Iterable[Tuple[HTerm, HTerm]]) -> bool:
+    """Do the two terms of every pair denote the same tree?  One walk over
+    all pairs, without recursion: each pair of nodes is compared once, the
+    pairs already compared kept by identity across ``pairs``."""
+    seen = set()
+    todo = list(pairs)
+    while todo:
+        a, b = todo.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        if a._hash != b._hash or a.var != b.var:
+            return False
+        seen.add((id(a), id(b)))
+        if a.var is None:
+            todo += ((a.left, b.left), (a.right, b.right))
+    return True
+
+
+def _term_nodes(term: HTerm) -> List[tuple]:
+    """The distinct sub-terms of ``term`` by value, children before parents
+    and left before right, ``term`` last: (var,) for a leaf, the positions
+    of the two children for an inner node."""
+    keys: List[tuple] = []
+    at: Dict[tuple, int] = {}  # key -> position
+    index: Dict[int, int] = {}  # id of a sub-term object -> position
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        if id(t) in index:
+            stack.pop()
+        elif t.var is None and not (id(t.left) in index and id(t.right) in index):
+            stack += (t.right, t.left)
+        else:
+            stack.pop()
+            key = ((t.var,) if t.var is not None
+                   else (index[id(t.left)], index[id(t.right)]))
+            index[id(t)] = at.setdefault(key, len(at))
+            if len(keys) < len(at):
+                keys.append(key)
+    return keys
 
 
 def h_eval(work: LazyCompletion, x: int, y: int) -> int:
@@ -221,19 +282,30 @@ def _parse_bits(eta: BitString) -> Tuple[int, ...]:
     return tuple(bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaStructure:
     """One member of the branching family, with element names and terms.
 
     ``structure`` carries the canonical names (a1..a4, r1..r6, b^k_i,
     s^k_i, c^k_i, t^k or t^k_1/t^k_2).  ``term_provenance`` maps every
     element id to an HTerm over (a1, a2, a3, a4) whose evaluation in any
-    completion of the structure returns that element.
+    completion of the structure returns that element.  Members are equal
+    when their eta, structure, element ids and terms are; the terms are
+    compared in one walk, which meets each shared sub-term pair once.
+    Members are unhashable.
     """
 
     eta: Tuple[int, ...]
     structure: IncidenceStructure
     term_provenance: Dict[int, HTerm] = field(repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GammaStructure):
+            return NotImplemented
+        mine, theirs = self.term_provenance, other.term_provenance
+        return (self.eta == other.eta and self.structure == other.structure
+                and mine.keys() == theirs.keys()
+                and _same_terms((t, theirs[e]) for e, t in mine.items()))
 
     def id_of(self, name: str) -> int:
         return self.structure.by_name(name)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kmnfree
+import kmnfree.cli as cli_module
 from kmnfree import (
     StructParams,
     StructureBuilder,
@@ -86,6 +87,8 @@ def test_parse_rejections():
          ' "incidences": [["p", "nope"]]}', "unknown name: nope"),
         ('{"m": 2, "n": 2, "points": ["p"], "lines": ["z"],'
          ' "incidences": [["z", "p"]]}', "z is not a point"),
+        ('{"m": 2, "n": 2, "points": ["p", "q"], "lines": [],'
+         ' "incidences": [["p", "q"]]}', "q is not a line"),
     ]
     for text, needle in cases:
         with pytest.raises(DocumentError) as exc:
@@ -400,6 +403,23 @@ def test_pattern_needs_an_instance(capsys, instances):
     code, doc, err = run_json(capsys, "pattern", "--instances", instances)
     assert code == 1
     assert doc == {"error": "instances must be >= 1"}
+
+
+@pytest.mark.parametrize("m, n, message", [
+    ("1", "3", "the configuration needs m, n >= 2"),
+    ("3", "1", "the configuration needs m, n >= 2"),
+    ("0", "3", "m and n must be >= 1, got (0, 3)"),
+])
+def test_pattern_refuses_small_parameters_before_the_sequence(capsys, monkeypatch,
+                                                              m, n, message):
+    def no_sequence(*args, **kw):
+        raise AssertionError("the sequence was built")
+
+    monkeypatch.setattr(cli_module, "indep_sequence", no_sequence)
+    code, doc, err = run_json(capsys, "pattern", "--m", m, "--n", n,
+                              "--instances", "200")
+    assert code == 1
+    assert doc == {"error": message}
 
 
 def test_plane_found(capsys):

@@ -6,14 +6,20 @@ by double loops over all m-subsets of points and n-subsets of lines,
 nothing shared with the library's scanning order or early exits.
 """
 
+import ast
 import functools
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kmnfree
 from kmnfree import (
     FreenessWitness,
     FreenessViolationError,
@@ -259,6 +265,73 @@ def test_builder_by_name_unknown_raises_parameter_error():
     assert bld.by_name("a") == 0
     with pytest.raises(ParameterError, match="no element named 'b'"):
         bld.by_name("b")
+
+
+def readers(store, names):
+    """What the five readers of ``store`` answer, names outside it included."""
+    def by_name(name):
+        try:
+            return store.by_name(name)
+        except ParameterError as e:
+            return str(e)
+
+    return (len(store), [store.sort(e) for e in range(len(store))],
+            [store.name(e) for e in range(len(store))],
+            [set(store.neighbors(e)) for e in range(len(store))],
+            [by_name(name) for name in names])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_structures_builders_and_workspaces_read_alike(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    s = random_free_structure(rng, m, n, max_elements=8)
+    asked = [s.name(e) for e in s.elements()] + ["nope", "p99", ""]
+    assert readers(StructureBuilder.from_structure(s), asked) == readers(s, asked)
+    work = completion.LazyCompletion(s, element_cap=60)
+    assert readers(work, asked) == readers(s, asked)
+    for _ in range(rng.randint(0, 4)):
+        pts = [e for e in range(len(work)) if work.sort(e) is Sort.POINT]
+        if len(pts) >= m and len(work) < 40:
+            work.forced(sorted(rng.sample(pts, m)))
+    asked += [work.name(e) for e in range(len(s), len(work))]
+    assert readers(work, asked) == readers(work.snapshot(), asked)
+
+
+def test_from_structure_on_the_workspace_builds_a_plain_builder():
+    s = quadrangle_structure()
+    b = completion.LazyCompletion.from_structure(s)
+    assert type(b) is StructureBuilder
+    assert b.build() == s
+    # the shared readers' base keeps the structure's slots
+    assert not hasattr(s, "__dict__")
+
+
+def test_reimporting_the_package_frees_the_old_modules():
+    # evaluated annotations such as Optional[IncidenceStructure] stay in
+    # typing's cache, and through the class, its whole module
+    code = """
+import collections, gc, importlib, sys
+for _ in range(3):
+    for name in [n for n in sys.modules if n.split(".")[0] == "kmnfree"]:
+        del sys.modules[name]
+    for sub in ("cli", "finsearch", "gamma"):
+        importlib.import_module("kmnfree." + sub)
+gc.collect()
+print(dict(collections.Counter(
+    c.__qualname__ for c in gc.get_objects()
+    if isinstance(c, type) and c.__module__.split(".")[0] == "kmnfree")))
+"""
+    package_root = str(Path(kmnfree.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    live = ast.literal_eval(out.stdout)
+    assert {"IncidenceStructure", "HTerm", "PlaneResult", "LazyCompletion"} <= set(live)
+    assert {name: k for name, k in live.items() if k != 1} == {}
 
 
 def test_builder_sort_errors():

@@ -1,4 +1,5 @@
-"""Every demo script runs to the end, quietly, against this package."""
+"""Every demo script runs to the end, quietly, against this package, and
+``tools/verdict_hash.py`` prints the pinned digests."""
 
 import os
 import subprocess
@@ -9,7 +10,18 @@ import pytest
 
 import kmnfree
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# ``tools/verdict_hash.py 3``: a change that alters outputs on purpose
+# updates these lines and records the old and new ones in CHANGES.md
+VERDICT_DIGESTS_3 = """\
+29fb972bdc43ef397d901c8eb2d9a05ada2df81ed34fa279b5f40111734f7439  4800 checks
+801453067c264da1333212e75185ab217ae0b4fe95ce6d4593b73df65f983e1c  40 relative completions
+3da7bb2f953ea4770d03e40cef3d6501c7dcf7c88acfa80f8d634653ae12795a  37 searches
+447ca1466c65df2ab4325f25ea647f882d67fa04b4b86ee7d8afe6e0b271dc7f  96 records
+171d393abec1dd2e3fcf0a59a04b1efc6be59edac3d174d9f05745c5830e6224  41 node counts
+"""
 
 
 def test_demos_are_found():
@@ -26,3 +38,14 @@ def test_demo_runs_cleanly(demo, tmp_path):
                          text=True, env=env, cwd=tmp_path, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
+
+
+def test_verdict_digests_are_pinned(tmp_path):
+    # the tool puts the checkout's src first on its path; the digests do not
+    # depend on the hash seed, which is fixed here so a failure reproduces
+    env = {**os.environ, "PYTHONHASHSEED": "12345"}
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "verdict_hash.py"), "3"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == VERDICT_DIGESTS_3

@@ -136,9 +136,9 @@ def ref_satisfies_complete(s):
 
 
 def ref_lazy_forced(work, sub, sort, want):
-    have = set(work.builder.neighbors(sub[0]))
+    have = set(work.neighbors(sub[0]))
     for e in sub[1:]:
-        have &= work.builder.neighbors(e)
+        have &= work.neighbors(e)
     while len(have) < want:
         have.add(work._spawn(sort, frozenset(sub)))
     return frozenset(have)
@@ -150,8 +150,8 @@ def ref_lazy_closure(work, seed, stage_budget):
     cur = frozenset(seed)
     stages = [cur]
     for _ in range(stage_budget):
-        pts = sorted(e for e in cur if work.builder.sort(e) is Sort.POINT)
-        lns = sorted(e for e in cur if work.builder.sort(e) is Sort.LINE)
+        pts = sorted(e for e in cur if work.sort(e) is Sort.POINT)
+        lns = sorted(e for e in cur if work.sort(e) is Sort.LINE)
         nxt = set(cur)
         try:
             for sigma in colex_combinations(pts, m):

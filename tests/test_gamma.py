@@ -301,12 +301,43 @@ def test_term_equality_walks_each_node_pair_once():
     assert HTerm.leaf(0) != "x1"
 
 
+def test_shared_sub_terms_are_written_once():
+    x1, x2, x3 = (HTerm.leaf(i) for i in range(3))
+    t1 = HTerm.h(x1, x2)
+    t2 = HTerm.h(t1, x3)
+    # the second copy of H(x1,x2) is built apart: sub-terms count by value
+    t = HTerm.h(HTerm.h(t2, HTerm.h(t2, HTerm.h(x1, x2))), HTerm.h(x1, x1))
+    text = "H(H(t2,H(t2,t1)),H(x1,x1)) where t1 = H(x1,x2), t2 = H(t1,x3)"
+    assert str(t) == repr(t) == text
+    assert str(HTerm.h(t1, t1)) == "H(t1,t1) where t1 = H(x1,x2)"
+    assert repr(HTerm.h(t1, x3)) == "H(H(x1,x2),x3)"
+
+
+def test_deep_shared_term_prints_once_per_sub_term():
+    # unshared, the tree of this term has an exponential number of nodes,
+    # and it nests past the recursion limit
+    g = gamma("01" * 300)
+    term = g.term_provenance[len(g.structure) - 1]
+    text = str(term)
+    assert repr(term) == text
+    assert len(text) < 100_000
+    assert text.startswith("H(") and " where t1 = " in text
+
+
 def test_separately_built_members_compare_equal():
-    a, b = gamma("01" * 10), gamma("01" * 10)
+    a, b = gamma("01" * 300), gamma("01" * 300)
     last = len(a.structure) - 1
     assert a.term_provenance[last] is not b.term_provenance[last]
     assert a == b
-    assert a != gamma("01" * 9 + "00")
+    assert a != gamma("01" * 299 + "00")
+    # the same eta and structure, one term changed
+    odd = dict(b.term_provenance)
+    odd[last] = HTerm.h(odd[last].right, odd[last].left)
+    assert a != GammaStructure(b.eta, b.structure, odd)
+    del odd[last]
+    assert a != GammaStructure(b.eta, b.structure, odd)
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_member_repr_leaves_out_the_terms():
