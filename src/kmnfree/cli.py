@@ -103,7 +103,7 @@ def parse_structure(text: str) -> IncidenceStructure:
     """
     try:
         doc = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
         raise DocumentError(f"malformed document: {e}") from None
     if not isinstance(doc, dict):
         raise DocumentError("malformed document: top level must be an object")

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .closure import ClosureRun, _checked, _stages_after, _violator, is_i_closed
 from .core import (
@@ -346,12 +346,9 @@ class LazyCompletion(StructureBuilder):
         self._copy(base)
         self.base = base
         self.element_cap = element_cap
-        self._snapshot: Optional[IncidenceStructure] = None
 
     def snapshot(self) -> IncidenceStructure:
-        if self._snapshot is None:
-            self._snapshot = self.build()
-        return self._snapshot
+        return self.build()
 
     @property
     def provenance(self) -> dict:
@@ -365,7 +362,6 @@ class LazyCompletion(StructureBuilder):
             raise BudgetError(
                 f"canonical completion workspace exceeded {self.element_cap} elements"
             )
-        self._snapshot = None
         line = sort is Sort.LINE
         fresh = self.add_line() if line else self.add_point()
         for e in sorted(spawner):

@@ -32,9 +32,10 @@ Contents:
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     BudgetError,
@@ -76,59 +77,59 @@ __all__ = [
 # H-terms
 
 
-@dataclass(frozen=True)
+_TERMS = weakref.WeakValueDictionary()  # leaf index or (left, right) -> the live term
+
+
 class HTerm:
     """A binary tree over variable leaves, denoting iterated H applications.
 
     Leaves carry a 0-based index into the assignment tuple; internal
     nodes have both children set.  Exactly one of the two forms holds.
 
-    The family's terms share sub-terms, so their trees grow exponentially
-    with the depth, and deep ones pass the recursion limit.  Terms are
-    built bottom-up, so the arity and the hash are computed once, when a
-    term is made, from its children's values; neither walks the tree.
-    Equality walks the two DAGs together, without recursion, and compares
-    each pair of nodes once: the pairs already compared are kept by
-    identity.  Its cost is linear in the number of node pairs reached.
-    ``str`` and ``repr`` write each inner sub-term that occurs more than
-    once a single time, under a name: ``H(t1,t1) where t1 = H(x1,x2)``.
+    Terms are hash-consed: ``HTerm(...)``, ``leaf`` and ``h`` return the
+    one live term with that leaf index or that ordered pair of children,
+    so equal trees are the same object, equality and hashing are by
+    identity, and copies and pickles come back as the interned term.
+    Making terms assumes one thread, as the library does.  The family's
+    terms share sub-terms, so their trees grow exponentially with the
+    depth: the arity is computed once, from the children's, and nothing
+    walks a tree recursively.  ``str`` and ``repr`` write each inner
+    sub-term that occurs more than once a single time, under a name:
+    ``H(t1,t1) where t1 = H(x1,x2)``.
     """
 
-    var: Optional[int] = None
-    left: Optional["HTerm"] = None
-    right: Optional["HTerm"] = None
-    _arity: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.var is not None:
-            if self.left is not None or self.right is not None:
+    def __new__(cls, var: Optional[int] = None, left: Optional[HTerm] = None,
+                right: Optional[HTerm] = None) -> HTerm:
+        if var is not None:
+            if left is not None or right is not None:
                 raise ParameterError("a leaf term cannot have children")
-            if self.var < 0:
+            if var < 0:
                 raise ParameterError("variable index must be non-negative")
-            arity, key = self.var + 1, hash(self.var)
-        elif self.left is None or self.right is None:
+            key, arity = var, var + 1
+        elif left is None or right is None:
             raise ParameterError("an internal term needs both children")
         else:
-            arity = max(self.left._arity, self.right._arity)
-            key = hash((self.left._hash, self.right._hash))
-        object.__setattr__(self, "_arity", arity)
-        object.__setattr__(self, "_hash", key)
+            key, arity = (left, right), max(left._arity, right._arity)
+        term = _TERMS.get(key)
+        if term is None:
+            term = _TERMS[key] = object.__new__(cls)
+            term.__dict__.update(var=var, left=left, right=right, _arity=arity)
+        return term
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot change field {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HTerm):
-            return NotImplemented
-        return _same_terms([(self, other)])
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return HTerm, (self.var, self.left, self.right)
 
     @classmethod
-    def leaf(cls, index: int) -> "HTerm":
+    def leaf(cls, index: int) -> HTerm:
         return cls(var=index)
 
     @classmethod
-    def h(cls, left: "HTerm", right: "HTerm") -> "HTerm":
+    def h(cls, left: HTerm, right: HTerm) -> HTerm:
         return cls(left=left, right=right)
 
     @property
@@ -140,77 +141,47 @@ class HTerm:
         return self._arity
 
     def __str__(self) -> str:
-        """Sub-terms are told apart by value.  Those with two or more
-        parents are named t1, t2, ... children first, so each definition
-        after ``where`` uses only earlier names."""
-        keys = _term_nodes(self)
-        uses = Counter(i for key in keys if len(key) == 2 for i in key)
-        named: Dict[int, str] = {}
-        for i, key in enumerate(keys):
-            if len(key) == 2 and uses[i] > 1:
-                named[i] = f"t{len(named) + 1}"
+        """Sub-terms with two or more parents are named t1, t2, ... children
+        first, so each definition after ``where`` uses only earlier names."""
+        nodes = _term_nodes(self)
+        uses = Counter(c for t in nodes if t.var is None for c in (t.left, t.right))
+        shared = [t for t in nodes if t.var is None and uses[t] > 1]
+        named = {t: f"t{i}" for i, t in enumerate(shared, start=1)}
 
-        def text(top: int) -> str:
+        def text(top: HTerm) -> str:
             out, todo = [], [top]
             while todo:
-                i = todo.pop()
-                if type(i) is str:
-                    out.append(i)
-                elif len(keys[i]) == 1:
-                    out.append(f"x{keys[i][0] + 1}")
-                elif i in named and i != top:
-                    out.append(named[i])
+                t = todo.pop()
+                if type(t) is str:
+                    out.append(t)
+                elif t.var is not None:
+                    out.append(f"x{t.var + 1}")
+                elif t in named and t is not top:
+                    out.append(named[t])
                 else:
                     out.append("H(")
-                    todo += (")", keys[i][1], ",", keys[i][0])
+                    todo += (")", t.right, ",", t.left)
             return "".join(out)
 
-        where = ", ".join(f"{name} = {text(i)}" for i, name in named.items())
-        return text(len(keys) - 1) + (f" where {where}" if where else "")
+        where = ", ".join(f"{name} = {text(t)}" for t, name in named.items())
+        return text(self) + (f" where {where}" if where else "")
 
     __repr__ = __str__
 
 
-def _same_terms(pairs: Iterable[Tuple[HTerm, HTerm]]) -> bool:
-    """Do the two terms of every pair denote the same tree?  One walk over
-    all pairs, without recursion: each pair of nodes is compared once, the
-    pairs already compared kept by identity across ``pairs``."""
-    seen = set()
-    todo = list(pairs)
-    while todo:
-        a, b = todo.pop()
-        if a is b or (id(a), id(b)) in seen:
-            continue
-        if a._hash != b._hash or a.var != b.var:
-            return False
-        seen.add((id(a), id(b)))
-        if a.var is None:
-            todo += ((a.left, b.left), (a.right, b.right))
-    return True
-
-
-def _term_nodes(term: HTerm) -> List[tuple]:
-    """The distinct sub-terms of ``term`` by value, children before parents
-    and left before right, ``term`` last: (var,) for a leaf, the positions
-    of the two children for an inner node."""
-    keys: List[tuple] = []
-    at: Dict[tuple, int] = {}  # key -> position
-    index: Dict[int, int] = {}  # id of a sub-term object -> position
+def _term_nodes(term: HTerm) -> List[HTerm]:
+    """The distinct sub-terms of ``term``, children before parents and left
+    before right, ``term`` last: the order in which a recursive walk, left
+    child first, finishes each sub-term the first time."""
+    done: Dict[HTerm, None] = {}
     stack = [term]
     while stack:
         t = stack[-1]
-        if id(t) in index:
-            stack.pop()
-        elif t.var is None and not (id(t.left) in index and id(t.right) in index):
+        if t.var is None and not (t.left in done and t.right in done):
             stack += (t.right, t.left)
-        else:
-            stack.pop()
-            key = ((t.var,) if t.var is not None
-                   else (index[id(t.left)], index[id(t.right)]))
-            index[id(t)] = at.setdefault(key, len(at))
-            if len(keys) < len(at):
-                keys.append(key)
-    return keys
+        else:  # a term met again keeps its first place
+            done[stack.pop()] = None
+    return list(done)
 
 
 def h_eval(work: LazyCompletion, x: int, y: int) -> int:
@@ -239,30 +210,21 @@ def h_eval(work: LazyCompletion, x: int, y: int) -> int:
 def h_term_eval(work: LazyCompletion, term: HTerm, assignment: Sequence[int]) -> int:
     """Evaluate ``term`` under ``assignment`` via h_eval, left child first.
 
-    The family's terms share sub-terms, which a tree walk would redo at
-    every level: an explicit stack evaluates each once, memoised by ``id``
-    (an HTerm's equality walks its tree).  A repeated h_eval would spawn nothing.
+    Each distinct sub-term, which a tree walk would redo at every level of
+    the family's terms, is evaluated once in ``_term_nodes`` order and its
+    value kept by the (hash-consed) term.  A repeated h_eval would spawn
+    nothing, so the spawns are those of the tree walk, in its order.
     """
-    values: Dict[int, int] = {}
-    stack = [term]
-    while stack:
-        t = stack[-1]
-        if id(t) in values:
-            stack.pop()
-        elif t.is_leaf:
-            if not 0 <= t.var < len(assignment):
-                raise ParameterError(
-                    f"term variable x{t.var + 1} exceeds assignment arity "
-                    f"{len(assignment)}"
-                )
-            values[id(t)] = assignment[t.var]
-        elif id(t.left) not in values:
-            stack.append(t.left)
-        elif id(t.right) not in values:
-            stack.append(t.right)
+    values: Dict[HTerm, int] = {}
+    for t in _term_nodes(term):
+        if t.var is None:
+            values[t] = h_eval(work, values[t.left], values[t.right])
+        elif t.var < len(assignment):
+            values[t] = assignment[t.var]
         else:
-            values[id(t)] = h_eval(work, values[id(t.left)], values[id(t.right)])
-    return values[id(term)]
+            raise ParameterError(f"term variable x{t.var + 1} exceeds "
+                                 f"assignment arity {len(assignment)}")
+    return values[term]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +244,7 @@ def _parse_bits(eta: BitString) -> Tuple[int, ...]:
     return tuple(bits)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GammaStructure:
     """One member of the branching family, with element names and terms.
 
@@ -290,22 +252,14 @@ class GammaStructure:
     s^k_i, c^k_i, t^k or t^k_1/t^k_2).  ``term_provenance`` maps every
     element id to an HTerm over (a1, a2, a3, a4) whose evaluation in any
     completion of the structure returns that element.  Members are equal
-    when their eta, structure, element ids and terms are; the terms are
-    compared in one walk, which meets each shared sub-term pair once.
-    Members are unhashable.
+    when their eta, structure and term dicts are.  Terms are hash-consed,
+    so separately built members share them (making members assumes one
+    thread, as the library does).  The dict field keeps members unhashable.
     """
 
     eta: Tuple[int, ...]
     structure: IncidenceStructure
     term_provenance: Dict[int, HTerm] = field(repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GammaStructure):
-            return NotImplemented
-        mine, theirs = self.term_provenance, other.term_provenance
-        return (self.eta == other.eta and self.structure == other.structure
-                and mine.keys() == theirs.keys()
-                and _same_terms((t, theirs[e]) for e, t in mine.items()))
 
     def id_of(self, name: str) -> int:
         return self.structure.by_name(name)
@@ -456,13 +410,13 @@ def gamma_invariants(g: GammaStructure) -> GammaReport:
         if trouble:
             failures.append(f"prefix {g.eta[:-1]}: {trouble}")
 
-    of_term = {id(t): e for e, t in g.term_provenance.items()}
+    of_term = {t: e for e, t in g.term_provenance.items()}
     for e in s.elements():
         t = g.term_provenance.get(e)
         if t is None or t.is_leaf:
             ok = t is not None and s.name(e) == f"a{t.var + 1}"
         else:
-            x, y = of_term.get(id(t.left), e), of_term.get(id(t.right), e)
+            x, y = of_term.get(t.left, e), of_term.get(t.right, e)
             ok = x != y and max(x, y) < e and e in s.forced(sorted((x, y)))
         if not ok:
             failures.append(f"generation: {s.name(e)!r} does not follow from its term")

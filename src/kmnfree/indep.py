@@ -193,13 +193,14 @@ def _otimes(q: IndepQuery, work: LazyCompletion, runs) -> Verdict:
             f"stage budget {k} too small: the side closures are not yet "
             "inside the joint closure stage",
         )
-    union_struct, union_map = induced(work.snapshot(), union_set)
+    ambient = work.snapshot()
+    union_struct, union_map = induced(ambient, union_set)
     try:
         fk = free_completion(union_struct, k, q.element_cap).final.structure
     except BudgetError:
         return Verdict(Status.UNKNOWN, None, "free completion hit the element cap")
 
-    joint_struct, joint_map = induced(work.snapshot(), joint_stage)
+    joint_struct, joint_map = induced(ambient, joint_stage)
     base = {union_map[e]: joint_map[e] for e in union_set}
     if isomorphic_over(fk, joint_struct, base):
         return Verdict(

@@ -116,6 +116,16 @@ def test_boolean_parameters_and_empty_names_are_refused(capsys, tmp_path, text,
     assert (code, doc) == (1, {"error": needle})
 
 
+def test_deeply_nested_document_is_a_document_error(capsys, tmp_path):
+    # json.loads raises RecursionError on it, which used to escape dispatch
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    code, doc, err = run_json(capsys, "check", str(f))
+    assert code == 1
+    assert doc["error"].startswith("malformed document: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_stage6_completion_document_round_trip_is_byte_exact(capsys, tmp_path):
     f = tmp_path / "q.json"
     f.write_text(emit_structure(quadrangle_structure()))

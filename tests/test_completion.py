@@ -409,6 +409,14 @@ def test_lazy_monster_closed(quadrangle):
     assert closed
 
 
+def test_snapshot_sees_adds_made_after_an_earlier_snapshot(quadrangle):
+    work = LazyCompletion(quadrangle)
+    assert len(work.snapshot()) == 4
+    z = work.add_point("z")
+    assert len(work) == len(work.snapshot()) == 5
+    assert work.snapshot().name(z) == "z"
+
+
 def test_lazy_snapshot_matches_completion_incidences(quadrangle):
     # materialize stage-2 content lazily, then compare against the staged run
     run = free_completion(quadrangle, stages=2)

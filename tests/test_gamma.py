@@ -1,8 +1,12 @@
 """The branching family, the H operation, witness configs, and the probe."""
 
+import copy
+import gc
+import hashlib
 import importlib
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -327,7 +331,7 @@ def test_deep_shared_term_prints_once_per_sub_term():
 def test_separately_built_members_compare_equal():
     a, b = gamma("01" * 300), gamma("01" * 300)
     last = len(a.structure) - 1
-    assert a.term_provenance[last] is not b.term_provenance[last]
+    assert a.term_provenance[last] is b.term_provenance[last]
     assert a == b
     assert a != gamma("01" * 299 + "00")
     # the same eta and structure, one term changed
@@ -338,6 +342,66 @@ def test_separately_built_members_compare_equal():
     assert a != GammaStructure(b.eta, b.structure, odd)
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_terms_are_interned():
+    x1, x2 = HTerm.leaf(0), HTerm.leaf(1)
+    assert HTerm.h(x1, x2) is HTerm.h(x1, x2) is HTerm(left=x1, right=x2)
+    assert HTerm(var=2) is HTerm.leaf(2)
+    assert HTerm.h(x1, x2) is not HTerm.h(x2, x1)
+    t = HTerm.h(HTerm.h(x1, x2), HTerm.h(x1, x2))
+    assert t.left is t.right and {t: 1}[HTerm.h(t.left, t.right)] == 1
+    for again in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+                  copy.deepcopy([t, x1])[0]):
+        assert again is t
+    assert pickle.loads(pickle.dumps(x2)) is x2
+    for name in ("var", "left", "right", "_arity", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert (t.var, t.left.left, t.right.right, t.arity()) == (None, x1, x2, 2)
+    for bad in ({"var": 0, "left": x1}, {"var": 0, "right": x1}, {"var": -1},
+                {"left": x1}, {"right": x1}, {}):
+        with pytest.raises(ParameterError):
+            HTerm(**bad)
+
+
+def test_dropped_terms_leave_the_intern_table():
+    gc.collect()
+    before = len(gamma_module._TERMS)
+    g = gamma("01" * 50)
+    assert len(gamma_module._TERMS) > before
+    del g
+    gc.collect()
+    assert len(gamma_module._TERMS) <= before
+
+
+def test_dropping_a_deep_term_frees_it_without_recursion():
+    # freeing the top frees the chain term by term: no crash, no entry left
+    gc.collect()
+    before = len(gamma_module._TERMS)
+    chain = h_chain(100_000)
+    assert chain.arity() == 1
+    del chain
+    gc.collect()
+    assert len(gamma_module._TERMS) <= before
+
+
+def test_term_output_is_pinned():
+    # the term texts and evaluated values of five members, digested; any
+    # change to how terms are made, printed or evaluated shows here
+    digest = hashlib.sha256()
+    for eta in ("", "0", "1", "0110", "01" * 20):
+        g = gamma(eta)
+        terms = sorted(g.term_provenance.items())
+        for e, t in terms:
+            digest.update(f"{e}:{t}\n".encode())
+        work = LazyCompletion(g.structure)
+        a = tuple(g.id_of(f"a{i}") for i in range(1, 5))
+        digest.update(repr([h_term_eval(work, t, a) for _, t in terms]).encode())
+    assert digest.hexdigest() == (
+        "5fd446e0c68f9093a351bd411aaad73d639e68a1f9faa74584b729ea23cfc950")
 
 
 def test_member_repr_leaves_out_the_terms():
