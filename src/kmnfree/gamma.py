@@ -124,6 +124,11 @@ class HTerm:
     def __reduce__(self):
         return HTerm, (self.var, self.left, self.right)
 
+    def __deepcopy__(self, memo=None) -> HTerm:
+        return self
+
+    __copy__ = __deepcopy__
+
     @classmethod
     def leaf(cls, index: int) -> HTerm:
         return cls(var=index)

@@ -26,6 +26,17 @@ def build(m, n, points=(), lines=(), incidences=(), guard=True):
     return bld.build()
 
 
+def otimes_over_i_structure():
+    """A (3,2) structure where A = {p0, p1}, B = {l3}, C = {l0} is
+    I-independent but not OTIMES-independent: l4 joins the first closure
+    stage of cl(AC) | cl(BC) through four points."""
+    incs = {"p0": ["l4"], "p1": ["l4"], "p2": ["l0", "l2", "l3", "l4"],
+            "p3": ["l0", "l1", "l2", "l3", "l4"]}
+    return build(3, 2, points=("p0", "p1", "p2", "p3"),
+                 lines=("l0", "l1", "l2", "l3", "l4"),
+                 incidences=[(p, l) for p, ls in incs.items() for l in ls])
+
+
 def quadrangle_structure():
     return build(2, 2, points=("p1", "p2", "p3", "p4"))
 

@@ -36,7 +36,12 @@ from kmnfree.cli import (
     structure_document,
 )
 
-from conftest import build, quadrangle_structure, reference_completion_provenance
+from conftest import (
+    build,
+    otimes_over_i_structure,
+    quadrangle_structure,
+    reference_completion_provenance,
+)
 
 
 def run(capsys, *argv):
@@ -352,6 +357,16 @@ def test_indep_dependent_is_decided(capsys, tmp_path):
     assert code == 0
     assert doc["status"] == "dependent"
     assert doc["witness"] == ["b", "z"]
+
+
+def test_indep_otimes_dependence_names_its_witness(capsys, tmp_path):
+    f = tmp_path / "s.json"
+    f.write_text(emit_structure(otimes_over_i_structure()))
+    code, doc, err = run_json(capsys, "indep", str(f), "--rel", "otimes", "--a", "p0,p1",
+                              "--b", "l3", "--c", "l0", "--stages", "4")
+    assert code == 0
+    assert doc["status"] == "dependent"
+    assert doc["witness"] == ["l4", ["p0", "p1", "p2", "p3"]]
 
 
 def test_indep_div_on_the_2_3_configuration_ends_at_the_element_cap(capsys, tmp_path):

@@ -364,6 +364,18 @@ def test_lazy_closure_stages_match_free_completion(quadrangle):
     assert not run.converged
 
 
+@pytest.mark.parametrize("m,n,points,lines", [(2, 3, ("p0", "p1"), ()),
+                                              (3, 2, (), ("l0", "l1"))])
+def test_lazy_closure_and_free_completion_stage_differently(m, n, points, lines):
+    # two lone points at (2,3) force two lines: the lazy closure spawns both
+    # in one step, the free completion one per stage, to the same count
+    s = build(m, n, points=points, lines=lines)
+    run = LazyCompletion(s, element_cap=1000).closure(s.elements(), stage_budget=2)
+    assert [len(st) for st in run.stages] == [2, 4]
+    assert run.converged
+    assert free_completion(s, 2).sizes() == [2, 3, 4]
+
+
 def test_lazy_spawns_forced_elements(quadrangle):
     work = LazyCompletion(quadrangle, element_cap=1000)
     (l1,) = work.lines_through((0, 1))

@@ -16,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # ``tools/verdict_hash.py 3``: a change that alters outputs on purpose
 # updates these lines and records the old and new ones in CHANGES.md
 VERDICT_DIGESTS_3 = """\
-29fb972bdc43ef397d901c8eb2d9a05ada2df81ed34fa279b5f40111734f7439  4800 checks
+658f02a3c0b7fe93eff680ee7ba03fedc402586254b355e9bae8d79504fe204b  4800 checks
 801453067c264da1333212e75185ab217ae0b4fe95ce6d4593b73df65f983e1c  40 relative completions
 3da7bb2f953ea4770d03e40cef3d6501c7dcf7c88acfa80f8d634653ae12795a  37 searches
 447ca1466c65df2ab4325f25ea647f882d67fa04b4b86ee7d8afe6e0b271dc7f  96 records

@@ -287,7 +287,7 @@ def test_otimes_check_runs_four_lazy_closures(monkeypatch):
     monkeypatch.setattr(LazyCompletion, "closure", counted)
     v = check(quad_query(Relation.OTIMES, stage_budget=3))
     assert v.status is Status.INDEPENDENT
-    # C, AC, BC, then the joint closure ABC
+    # C, AC, BC, then the closure of the side-closure union cl(AC) | cl(BC)
     assert calls == [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
 
 

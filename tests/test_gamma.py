@@ -367,6 +367,13 @@ def test_terms_are_interned():
             HTerm(**bad)
 
 
+def test_deep_terms_copy_to_themselves():
+    g = gamma("01" * 300)
+    t = g.term_provenance[len(g.structure) - 1]
+    assert copy.deepcopy(t) is t
+    assert copy.copy(t) is t
+
+
 def test_dropped_terms_leave_the_intern_table():
     gc.collect()
     before = len(gamma_module._TERMS)

@@ -26,6 +26,7 @@ from kmnfree.core import Sort
 from conftest import (
     RecordingCompletion,
     build,
+    otimes_over_i_structure,
     random_free_structure,
 )
 
@@ -165,6 +166,17 @@ def test_otimes_rejects_linked_sides():
                 Relation.OTIMES, stage_budget=3))
     assert v.status is Status.DEPENDENT
     assert v.witness == (2, s.by_name("u"))
+
+
+def test_otimes_dependence_that_i_misses():
+    s = otimes_over_i_structure()
+    ids = s.by_name
+    a, b, c = {ids("p0"), ids("p1")}, {ids("l3")}, {ids("l0")}
+    assert check(q(s, a, b, c, Relation.I, stage_budget=4)).status is Status.INDEPENDENT
+    v = check(q(s, a, b, c, Relation.OTIMES, stage_budget=4))
+    assert v.status is Status.DEPENDENT
+    assert v.witness == (ids("l4"), frozenset(ids(f"p{i}") for i in range(4)))
+    assert "'l4' meets 4 elements of stage 1" in v.detail
 
 
 # ---------------------------------------------------------------------------
