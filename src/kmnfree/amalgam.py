@@ -505,12 +505,13 @@ def pattern_consistent(
     The base is identified with its canonical completion; candidates extend
     the stage-``stage_budget`` closure A_T of the base elements by the quotient
     image of the variable pool.  A candidate is refuted if it demands an
-    incidence between two closure elements that the closure lacks, if some
-    instance's induced image misses the diagram (exact mode), or if the
-    result is not K-free; refutations are sound at any stage.  A surviving
-    candidate certifies CONSISTENT only when the closure converged (then the
-    K-free extension of the closed base embeds into the monster over it);
-    otherwise the verdict is UNKNOWN.  INCONSISTENT means every assignment
+    incidence between two closure elements that the closure lacks, if its
+    new incidences complete a K_{m,n} (the builder's guard refutes it), or
+    if some instance's induced image misses the diagram (exact mode);
+    refutations are sound at any stage.  A surviving candidate certifies
+    CONSISTENT only when the closure converged (then the K-free extension
+    of the closed base embeds into the monster over it); otherwise the
+    verdict is UNKNOWN.  INCONSISTENT means every assignment
     was refuted, which rules out monster realizations outright: any
     realization would induce an assignment in the searched space (variables
     landing on closure elements use them as targets, the rest stay fresh) and
@@ -524,13 +525,18 @@ def pattern_consistent(
     refuted partial assignment adds every assignment below it to the count
     at once.
 
-    A_T is the id prefix ``range(len(A_T))`` of the workspace, so closure
-    element ids serve as candidate ids unchanged.  The closure starts at
-    the base ids, which are the whole workspace, and each completed step
-    adds every element it spawned, so each recorded stage is the workspace
-    at its end.  A step that the element cap stops spawns only after the
-    last recorded stage, above its ids.  So the prefix holds whether or not
-    the closure converged.
+    A_T is the id prefix ``range(len(A_T))`` of the workspace, so the ground
+    induced on it keeps closure element ids, which serve as candidate ids.
+    The closure starts at the base ids, which are the whole workspace, and
+    each completed step adds every element it spawned, so each recorded
+    stage is the workspace at its end.  A step that the element cap stops
+    spawns only after the last recorded stage, above its ids.  So the
+    prefix holds whether or not the closure converged.
+
+    The ground is free (the workspace's base passed ``_require_free``, and
+    its spawns cannot complete a grid: see ``completion.complete_step``), so
+    any grid of a candidate holds one of its new incidences, and the
+    guarded add of the last of them finds it.
     """
     _require_budgets(stage_budget, candidate_budget, element_cap)
     dg = pattern.diagram
@@ -552,8 +558,7 @@ def pattern_consistent(
 
     work = LazyCompletion(base, element_cap=element_cap)
     run = work.closure(base.elements(), stage_budget=stage_budget)
-    a_t = run.closure_set
-    ambient = work.snapshot()
+    ground = induced(work.snapshot(), run.closure_set)[0]
     stage = len(run.stages) - 1
 
     if not instances:
@@ -575,9 +580,6 @@ def pattern_consistent(
         token_sort[tok] = dg.sort(tok[1] if tok[0] == "s" else tok[2])
     pts = [t for t in pool if token_sort[t] is Sort.POINT]
     lns = [t for t in pool if token_sort[t] is Sort.LINE]
-
-    existing_pts = sorted(e for e in a_t if ambient.is_point(e))
-    existing_lns = sorted(e for e in a_t if ambient.is_line(e))
 
     # required incidences per instance as (point token-or-id, line token-or-id)
     def resolve_token(j, v):
@@ -608,7 +610,6 @@ def pattern_consistent(
             part_product.append((merges, blocks))
     part_product.sort(key=lambda t: (t[0], t[1]))
 
-    ground = induced(ambient, a_t)[0]
     candidates = 0
     survivor = None
 
@@ -644,7 +645,7 @@ def pattern_consistent(
         for ptok, ltok in required:
             pi, li = block_of.get(ptok), block_of.get(ltok)
             if pi is None and li is None:
-                if not ambient.incident(ptok, ltok):
+                if not ground.incident(ptok, ltok):
                     return None
             elif pi is None:
                 to_base[li].add(ptok)
@@ -656,7 +657,8 @@ def pattern_consistent(
 
     def evaluate(blocks, chosen) -> bool:
         """True if the candidate for an assignment that passed the cheap
-        checks is K-free and, in exact mode, induces the diagram."""
+        checks, a copy of the ground given its new incidences by guarded
+        adds, is K-free and, in exact mode, induces the diagram."""
         b = StructureBuilder.from_structure(ground)
         placed = {}
         for blk, eid in zip(blocks, chosen):
@@ -668,26 +670,26 @@ def pattern_consistent(
         def image(t):
             return placed[t] if isinstance(t, tuple) else t
 
-        for ptok, ltok in required:
-            b.add_incidence(image(ptok), image(ltok), guard=False)
-        cand = b.build()
-
-        ok, _ = is_kmn_free(cand)
-        return ok and not (pattern.exact and any(
-            embedding_fault(dg, cand, dict(zip(dg.elements(), map(image, elems))))
+        try:
+            for ptok, ltok in required:
+                b.add_incidence(image(ptok), image(ltok))
+        except FreenessViolationError:
+            return False
+        return not (pattern.exact and any(
+            embedding_fault(dg, b, dict(zip(dg.elements(), map(image, elems))))
             for elems in inst_elems))
 
     def target_options(blk):
-        pool_e = existing_pts if token_sort[blk[0]] is Sort.POINT else existing_lns
-        return [None] + pool_e
+        point = token_sort[blk[0]] is Sort.POINT
+        return (None,) + (ground.points if point else ground.lines)
 
     for merges, blocks in part_product:
         # point blocks come first; per sort, an assignment is an injective
         # choice of targets, fresh (None) first
         n_points = sum(token_sort[blk[0]] is Sort.POINT for blk in blocks)
         spans = (
-            (0, n_points, len(existing_pts)),
-            (n_points, len(blocks), len(existing_lns)),
+            (0, n_points, len(ground.points)),
+            (n_points, len(blocks), len(ground.lines)),
         )
 
         def leaves(i, chosen):
@@ -712,7 +714,7 @@ def pattern_consistent(
                 if tgt is not None:
                     if tgt in used:
                         continue
-                    nb = ambient.neighbors(tgt)
+                    nb = ground.neighbors(tgt)
                     if (
                         tgt in avoid
                         or not to_base <= nb

@@ -58,9 +58,12 @@ class BudgetError(RuntimeError):
 
 
 def _require_budgets(*budgets) -> None:
-    """ParameterError unless every budget given (None for none) is >= 0."""
-    if any(b is not None and b < 0 for b in budgets):
-        raise ParameterError("budget must be >= 0")
+    """ParameterError unless every budget given (None for none) is an int >= 0."""
+    for b in budgets:  # one pass, no generator: every closure and query runs it
+        if b is not None and type(b) is not int:  # bool too
+            raise ParameterError("budget must be an integer")
+        if b is not None and b < 0:
+            raise ParameterError("budget must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,9 @@ class _Store:
         """All elements of the opposite sort incident with e."""
         return self._adj[e]
 
+    def elements(self) -> range:
+        return range(len(self._sorts))
+
 
 class IncidenceStructure(_Store):
     """An immutable finite two-sorted incidence structure.
@@ -185,9 +191,6 @@ class IncidenceStructure(_Store):
         self._lines = None
 
     # -- basic accessors ---------------------------------------------------
-
-    def elements(self) -> range:
-        return range(len(self._sorts))
 
     @property
     def points(self) -> tuple:
@@ -287,12 +290,13 @@ class StructureBuilder(_Store):
 
     Incidence adds are guarded: add_incidence refuses (with a witness, found
     by one ``_grid`` search) any incidence that would complete a K_{m,n},
-    unless guard=False.  Unguarded adds are for amalgams and pattern
-    candidates (each scans its result with ``is_kmn_free`` once),
-    extensions and the fixed constructions in ``gamma`` (free by the proof
-    in each docstring), and document parsing (a document may describe a
-    non-free structure).  ``completion.LazyCompletion`` is a builder whose
-    spawns take the guarded add.  Completion steps, found planes and
+    unless guard=False.  Unguarded adds are for amalgams (each scans its
+    result with ``is_kmn_free`` once), extensions and the fixed
+    constructions in ``gamma`` (free by the proof in each docstring), and
+    document parsing (a document may describe a non-free structure).
+    ``completion.LazyCompletion`` is a builder whose spawns take the guarded
+    add, and so do the candidates of ``amalgam.pattern_consistent``, each a
+    copy of a free ground.  Completion steps, found planes and
     ``induced`` do not use the builder: they write their result directly.
     """
 
@@ -406,32 +410,23 @@ def is_kmn_free(s: IncidenceStructure):
     point x only x's partners are tried: the smaller points that share at
     least n lines with x.  A skipped point shares fewer than n lines with x,
     so no grid contains both, and the first grid found is still the
-    colex-first.  A point's partners are counted the second time it is the
-    top point of a line and kept for the rest of the scan; the first time,
-    every lower point on the line is tried, so inputs refuted on their
-    first lines count nothing.
+    colex-first.  A point's partners are counted the first time it is the
+    top point of a line and kept for the rest of the scan.
     """
     m, n = s.params.m, s.params.n
     adj = s._adj
-    partners: dict = {}  # top point -> None (seen once) or its partner set
+    partners: dict = {}  # top point -> the smaller points sharing >= n lines
     for l in s.lines:
         pts = sorted(adj[l])
         for i in range(m - 1, len(pts)):
             x = pts[i]
             if len(adj[x]) < n:
                 continue
-            if x not in partners:
-                partners[x] = None
-                cands = pts[:i]
-            else:
-                near = partners[x]
-                if near is None:
-                    shared = Counter(chain.from_iterable(adj[z] for z in adj[x]))
-                    near = partners[x] = {
-                        y for y, c in shared.items() if c >= n and y < x
-                    }
-                cands = [y for y in pts[:i] if y in near]
-            found = _grid(adj, n, adj[x], cands, m - 1)
+            near = partners.get(x)
+            if near is None:
+                shared = Counter(chain.from_iterable(adj[z] for z in adj[x]))
+                near = partners[x] = {y for y, c in shared.items() if c >= n and y < x}
+            found = _grid(adj, n, adj[x], [y for y in pts[:i] if y in near], m - 1)
             if found is not None:
                 sigma, common = found
                 return False, FreenessWitness(
@@ -646,7 +641,7 @@ def isomorphic_over(
     return IsoResult(None)
 
 
-def embedding_fault(small: IncidenceStructure, big: IncidenceStructure,
+def embedding_fault(small: IncidenceStructure, big: _Store,
                     mapping: Mapping[int, int]) -> Optional[str]:
     """Why ``mapping``, a possibly partial map from elements of ``small`` to
     ``big``, is not an induced embedding; None when it is one.  It is one

@@ -103,8 +103,8 @@ class HTerm:
         if var is not None:
             if left is not None or right is not None:
                 raise ParameterError("a leaf term cannot have children")
-            if var < 0:
-                raise ParameterError("variable index must be non-negative")
+            if type(var) is not int or var < 0:  # 1.0 and True would share 1's key
+                raise ParameterError("variable index must be a non-negative int")
             key, arity = var, var + 1
         elif left is None or right is None:
             raise ParameterError("an internal term needs both children")

@@ -361,10 +361,14 @@ def test_terms_are_interned():
         with pytest.raises(AttributeError):
             delattr(t, name)
     assert (t.var, t.left.left, t.right.right, t.arity()) == (None, x1, x2, 2)
+    # 1.0 and True equal 1 as intern keys: made, either would be the leaf
+    # that HTerm.leaf(1) returns while it lives
     for bad in ({"var": 0, "left": x1}, {"var": 0, "right": x1}, {"var": -1},
-                {"left": x1}, {"right": x1}, {}):
+                {"left": x1}, {"right": x1}, {}, {"var": 1.0}, {"var": True},
+                {"var": "1"}):
         with pytest.raises(ParameterError):
             HTerm(**bad)
+    assert str(HTerm.leaf(1)) == "x2"
 
 
 def test_deep_terms_copy_to_themselves():

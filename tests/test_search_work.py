@@ -39,6 +39,7 @@ from kmnfree import (
     satisfies_complete,
     tp2_pattern,
 )
+from kmnfree import amalgam
 from kmnfree.amalgam import PatternVerdict, QuotientAssignment, _set_partitions
 from kmnfree.completion import LazyCompletion
 from kmnfree.core import CompletenessReport, common_neighbors, colex_combinations
@@ -156,6 +157,36 @@ def test_tp2_candidate_counts_are_pinned():
     v = pattern_consistent(*tp2_case(3, 2, 2), stage_budget=1)
     assert (v.status, v.candidates) == (PatternStatus.CONSISTENT, 5_202)
     assert all(t is None for t in v.quotient.targets)
+
+
+@pytest.mark.parametrize("m, n, status, candidates", [
+    (3, 3, PatternStatus.CONSISTENT, 6_759),
+    (2, 3, PatternStatus.UNKNOWN, 1_769),
+])
+def test_tp2_searches_at_n_3_are_pinned(m, n, status, candidates):
+    # two instances each; the guarded candidate check at m = n = 3 and n = 3
+    case = tp2_case(m, n, 2)
+    v = pattern_consistent(*case, stage_budget=1)
+    assert (v.status, v.candidates) == (status, candidates)
+    if status is PatternStatus.UNKNOWN:
+        assert v.detail.endswith("did not converge within 1 stages")
+    assert assert_pattern_budgets_agree(*case, 1) == v
+
+
+def test_pattern_candidates_take_the_guard_not_a_scan(monkeypatch):
+    # each candidate is refuted by the builder's guard on its copy of the
+    # ground: no candidate is built or scanned, and the one build is the
+    # workspace snapshot
+    case = tp2_case(2, 2, 3)
+    scans, builds = [], []
+    monkeypatch.setattr(amalgam, "is_kmn_free",
+                        lambda s: scans.append(s) or is_kmn_free(s))
+    build_structure = StructureBuilder.build
+    monkeypatch.setattr(StructureBuilder, "build",
+                        lambda b: builds.append(b) or build_structure(b))
+    v = pattern_consistent(*case, stage_budget=1)
+    assert (v.status, v.candidates) == (PatternStatus.INCONSISTENT, 297_228)
+    assert scans == [] and len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Usage errors at the library's entry points: a non-free input is refused
-with the grid it contains, and a negative budget is refused before any work."""
+with the grid it contains, and a negative or non-int budget is refused
+before any work."""
 
 import pytest
 
@@ -77,36 +78,38 @@ def query(**budgets):
                       **budgets)
 
 
+# each entry passes its second argument as the named budget: -1, or one
+# that is not an int
 NEGATIVE_BUDGETS = {
-    "find_projective_plane": lambda q: find_projective_plane(2, node_budget=-1),
-    "enumerate_projective_planes": lambda q: enumerate_projective_planes(1, node_budget=-1),
-    "embed_in_finite_plane": lambda q: embed_in_finite_plane(fano_plane(), 2, node_budget=-5),
-    "embed_search_general.max_elements": lambda q: embed_search_general(
-        fano_plane(), max_elements=-1),
-    "embed_search_general.node_budget": lambda q: embed_search_general(
-        fano_plane(), node_budget=-1),
-    "LazyCompletion.element_cap": lambda q: LazyCompletion(q, element_cap=-1),
-    "LazyCompletion.closure": lambda q: LazyCompletion(q).closure([0, 1], stage_budget=-1),
-    "free_completion.stages": lambda q: free_completion(q, -1),
-    "free_completion.element_cap": lambda q: free_completion(q, 2, element_cap=-1),
-    "relative_free_completion.stage_budget": lambda q: relative_free_completion(q, [0], -1),
-    "relative_free_completion.element_cap": lambda q: relative_free_completion(
-        q, [0], 2, element_cap=-1),
-    "probe.stage_budget": lambda q: nonfree_completion_probe(q, stage_budget=-1),
-    "probe.element_cap": lambda q: nonfree_completion_probe(q, element_cap=-1),
-    "probe.search_budget": lambda q: nonfree_completion_probe(q, search_budget=-1),
-    "closure_stages": lambda q: closure_stages(q, [0], budget=-1),
-    "generates": lambda q: generates(q, [0], [1], budget=-1),
-    "IndepQuery.stage_budget": lambda q: query(stage_budget=-1),
-    "IndepQuery.element_cap": lambda q: query(element_cap=-1),
-    "IndepQuery.d_bound": lambda q: query(d_bound=-1),
-    "indep_sequence": lambda q: indep_sequence(q, (0,), frozenset(), 2, element_cap=-1),
-    "pattern_consistent.stage_budget": lambda q: pattern_consistent(
-        q, line_pattern(), [(0, 1)], stage_budget=-1),
-    "pattern_consistent.candidate_budget": lambda q: pattern_consistent(
-        q, line_pattern(), [(0, 1)], candidate_budget=-1),
-    "pattern_consistent.element_cap": lambda q: pattern_consistent(
-        q, line_pattern(), [(0, 1)], element_cap=-1),
+    "find_projective_plane": lambda q, b: find_projective_plane(2, node_budget=b),
+    "enumerate_projective_planes": lambda q, b: enumerate_projective_planes(1, node_budget=b),
+    "embed_in_finite_plane": lambda q, b: embed_in_finite_plane(fano_plane(), 2, node_budget=b),
+    "embed_search_general.max_elements": lambda q, b: embed_search_general(
+        fano_plane(), max_elements=b),
+    "embed_search_general.node_budget": lambda q, b: embed_search_general(
+        fano_plane(), node_budget=b),
+    "LazyCompletion.element_cap": lambda q, b: LazyCompletion(q, element_cap=b),
+    "LazyCompletion.closure": lambda q, b: LazyCompletion(q).closure([0, 1], stage_budget=b),
+    "free_completion.stages": lambda q, b: free_completion(q, b),
+    "free_completion.element_cap": lambda q, b: free_completion(q, 2, element_cap=b),
+    "relative_free_completion.stage_budget": lambda q, b: relative_free_completion(q, [0], b),
+    "relative_free_completion.element_cap": lambda q, b: relative_free_completion(
+        q, [0], 2, element_cap=b),
+    "probe.stage_budget": lambda q, b: nonfree_completion_probe(q, stage_budget=b),
+    "probe.element_cap": lambda q, b: nonfree_completion_probe(q, element_cap=b),
+    "probe.search_budget": lambda q, b: nonfree_completion_probe(q, search_budget=b),
+    "closure_stages": lambda q, b: closure_stages(q, [0], budget=b),
+    "generates": lambda q, b: generates(q, [0], [1], budget=b),
+    "IndepQuery.stage_budget": lambda q, b: query(stage_budget=b),
+    "IndepQuery.element_cap": lambda q, b: query(element_cap=b),
+    "IndepQuery.d_bound": lambda q, b: query(d_bound=b),
+    "indep_sequence": lambda q, b: indep_sequence(q, (0,), frozenset(), 2, element_cap=b),
+    "pattern_consistent.stage_budget": lambda q, b: pattern_consistent(
+        q, line_pattern(), [(0, 1)], stage_budget=b),
+    "pattern_consistent.candidate_budget": lambda q, b: pattern_consistent(
+        q, line_pattern(), [(0, 1)], candidate_budget=b),
+    "pattern_consistent.element_cap": lambda q, b: pattern_consistent(
+        q, line_pattern(), [(0, 1)], element_cap=b),
 }
 
 
@@ -115,4 +118,14 @@ def test_negative_budget_is_a_usage_error(entry):
     # a cached plane must not let a negative node budget through
     assert find_projective_plane(2).plane is not None
     with pytest.raises(ParameterError, match=r"^budget must be >= 0$"):
-        NEGATIVE_BUDGETS[entry](quadrangle_structure())
+        NEGATIVE_BUDGETS[entry](quadrangle_structure(), -1)
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_BUDGETS))
+def test_non_int_budget_is_a_usage_error(entry):
+    # refused before any work: 2.5 used to fail inside islice or run, 1e7
+    # and True to run as 10**7 and 1
+    assert find_projective_plane(2).plane is not None
+    for bad in (2.5, 1e7, True, "3"):
+        with pytest.raises(ParameterError, match=r"^budget must be an integer$"):
+            NEGATIVE_BUDGETS[entry](quadrangle_structure(), bad)
