@@ -12,11 +12,12 @@ checkers) is built on the small vocabulary here:
   their sorts, names, adjacency and name index through the base ``_Store``.
 * ``is_kmn_free`` / ``satisfies_complete``: the forbidden-configuration scan
   and the "every m points on exactly n-1 lines, every n lines on exactly m-1
-  points" test, both with deterministic witnesses.  The freeness scan grows
-  m-sets on each line from the largest point down and extends only by the
-  top point's *partners*, the points sharing at least n lines with it (the
-  shared-neighbour count used to find 4-cycles; Alon, Yuster and Zwick,
-  Algorithmica 17, 1997).
+  points" test, both with deterministic witnesses.  The freeness scan
+  ``_scan`` grows m-sets on each line from the largest point down and
+  extends only by the top point's *partners*, the points sharing at least n
+  lines with it (the shared-neighbour count used to find 4-cycles; Alon,
+  Yuster and Zwick, Algorithmica 17, 1997).  When the n-sets of lines
+  through each point are fewer, the same scan runs over those to decide.
 * ``_match``: the one backtracking matcher, iterative, for injective maps
   that keep sorts and incidence.  ``isomorphic_over`` runs it to extend a
   partial base map (to the lexicographically least isomorphism), and
@@ -377,10 +378,10 @@ class StructureBuilder(_Store):
 
 
 def _grid(adj, n: int, common: frozenset, cands: list, k: int):
-    """The colex-first k points of ``cands`` (ascending) that keep at least
-    n of the lines in ``common``, as (points, their common lines), or None.
+    """The colex-first k of ``cands`` (ascending) that keep at least n of
+    ``common`` as common neighbours, as (those k, their common ones), or None.
 
-    Kept at module level: nested in ``is_kmn_free`` as a recursive closure
+    Kept at module level: nested in the scan as a recursive closure
     it would form a reference cycle on every call, garbage that only the
     cyclic collector frees, and that slowed many small scans.
     """
@@ -396,44 +397,62 @@ def _grid(adj, n: int, common: frozenset, cands: list, k: int):
     return None
 
 
-def is_kmn_free(s: IncidenceStructure):
-    """(True, None) if s has no complete K_{m,n}; else (False, witness).
+def _scan(adj, outer, k: int, need: int):
+    """The colex-first k neighbours with at least ``need`` common ones of the
+    first element of ``outer`` (in order) that has such, as (those k,
+    ascending; their common ones), or None.
 
-    Any K_{m,n} has all m points on each of its n lines, so scanning
-    m-subsets of each line's point set covers every occurrence.  Witness is
-    the colex-first m-set on the first line (in id order) that carries a
-    grid, with the n lowest of its common lines.
-
-    Each line is searched depth first, largest point first and every level
-    in ascending order, which visits its m-sets in colex order.  A prefix
-    whose common lines number fewer than n is dropped, and below a top
-    point x only x's partners are tried: the smaller points that share at
-    least n lines with x.  A skipped point shares fewer than n lines with x,
-    so no grid contains both, and the first grid found is still the
-    colex-first.  A point's partners are counted the first time it is the
-    top point of a line and kept for the rest of the scan.
+    Each element's neighbours are searched depth first, largest first and
+    every level in ascending order, which visits their k-sets in colex
+    order.  Below a top element x only x's partners are tried: the smaller
+    ones sharing at least ``need`` neighbours with x, counted on x's first
+    time on top.  No grid holds x and a skipped element, so the first grid
+    found is still the colex-first.
     """
-    m, n = s.params.m, s.params.n
-    adj = s._adj
-    partners: dict = {}  # top point -> the smaller points sharing >= n lines
-    for l in s.lines:
-        pts = sorted(adj[l])
-        for i in range(m - 1, len(pts)):
-            x = pts[i]
-            if len(adj[x]) < n:
+    partners: dict = {}  # top element -> the smaller ones sharing >= need
+    for o in outer:
+        inner = sorted(adj[o])
+        for i in range(k - 1, len(inner)):
+            x = inner[i]
+            if len(adj[x]) < need:
                 continue
             near = partners.get(x)
             if near is None:
                 shared = Counter(chain.from_iterable(adj[z] for z in adj[x]))
-                near = partners[x] = {y for y, c in shared.items() if c >= n and y < x}
-            found = _grid(adj, n, adj[x], [y for y in pts[:i] if y in near], m - 1)
+                near = partners[x] = {y for y, c in shared.items() if c >= need and y < x}
+            found = _grid(adj, need, adj[x], [y for y in inner[:i] if y in near], k - 1)
             if found is not None:
-                sigma, common = found
-                return False, FreenessWitness(
-                    points=frozenset(sigma + (x,)),
-                    lines=frozenset(sorted(common)[:n]),
-                )
-    return True, None
+                return found[0] + (x,), found[1]
+    return None
+
+
+def is_kmn_free(s: IncidenceStructure):
+    """(True, None) if s has no complete K_{m,n}; else (False, witness).
+
+    A K_{m,n} has all m points on each of its n lines, so ``_scan`` over the
+    m-sets of each line's points (the line scan) finds every one.  Dually,
+    at any of its m points it is an n-set of that point's lines with at
+    least m common points, so ``_scan`` over the n-sets of each point's
+    lines finds every one too: its partner filter drops only lines sharing
+    fewer than m points with the top line, and no grid holds two such.
+    That point scan runs, only to decide, when sum_p C(deg p, n) is strictly
+    below sum_l C(deg l, m).  On a hit, as on every other input, the line
+    scan runs, so the witness is the colex-first m-set on the first line (in
+    id order) that carries a grid, with the n lowest of its common lines.
+    """
+    m, n = s.params.m, s.params.n
+    adj = s._adj
+    excess = 0  # in plain loops: generators would cost as much as a tiny scan
+    for l in s.lines:
+        excess += comb(len(adj[l]), m)
+    for p in s.points:
+        excess -= comb(len(adj[p]), n)
+    if excess > 0 and _scan(adj, s.points, n, m) is None:
+        return True, None
+    found = _scan(adj, s.lines, m, n)
+    if found is None:
+        return True, None
+    return False, FreenessWitness(frozenset(found[0]), frozenset(sorted(found[1])[:n]))
 
 
 def _require_free(s: IncidenceStructure, what: str) -> None:

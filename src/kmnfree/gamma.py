@@ -122,7 +122,11 @@ class HTerm:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return HTerm, (self.var, self.left, self.right)
+        # a flat node list: naming the children would make pickle recurse per level
+        nodes = _term_nodes(self)
+        at = {t: i for i, t in enumerate(nodes)}
+        return _term_from_nodes, ([t.var if t.var is not None else (at[t.left], at[t.right])
+                                   for t in nodes],)
 
     def __deepcopy__(self, memo=None) -> HTerm:
         return self
@@ -187,6 +191,15 @@ def _term_nodes(term: HTerm) -> List[HTerm]:
         else:  # a term met again keeps its first place
             done[stack.pop()] = None
     return list(done)
+
+
+def _term_from_nodes(nodes: list) -> HTerm:
+    """The last term of an ``HTerm.__reduce__`` node list, built bottom-up."""
+    built: List[HTerm] = []
+    for node in nodes:
+        built.append(HTerm(var=node) if type(node) is int
+                     else HTerm(left=built[node[0]], right=built[node[1]]))
+    return built[-1]
 
 
 def h_eval(work: LazyCompletion, x: int, y: int) -> int:

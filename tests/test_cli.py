@@ -397,6 +397,14 @@ def test_gamma_command(capsys):
     assert len(doc["lines"]) == 18
 
 
+def test_gamma_command_on_2000_bits(capsys):
+    # six of its lines carry about 2,000 points each: the grid check runs over
+    # the pairs of lines through each point instead, and ends in about a second
+    code, doc, err = run_json(capsys, "gamma", "--eta", "01" * 1000)
+    assert code == 0
+    assert (len(doc["points"]), len(doc["lines"])) == (12_007, 9_009)
+
+
 @pytest.mark.parametrize("command", ["gamma", "separate"])
 @pytest.mark.parametrize("eta", ["a", "\uff101"])
 def test_non_bits_exit_1_naming_the_bit(capsys, command, eta):

@@ -9,6 +9,7 @@ nothing shared with the library's scanning order or early exits.
 import ast
 import functools
 import itertools
+import math
 import operator
 import os
 import random
@@ -34,7 +35,8 @@ from kmnfree import (
     isomorphic_over,
     satisfies_complete,
 )
-from kmnfree import completion
+from kmnfree import completion, core
+from kmnfree.gamma import gamma
 from kmnfree.core import colex_combinations, embedding_fault
 
 from conftest import build, quadrangle_structure, random_free_structure
@@ -143,6 +145,118 @@ def unguarded_structures(draw):
 @settings(max_examples=600, deadline=None)
 def test_freeness_matches_reference_scan(s):
     assert is_kmn_free(s) == reference_is_kmn_free(s)
+
+
+def point_side_structure(seed):
+    """Few long lines and many points of low degree, ids interleaved and
+    incidences added unguarded: the point side has the fewer subsets on
+    most seeds, and grids occur."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    sorts = [rng.random() < 0.75 for _ in range(rng.randint(1, 20))]
+    bld = StructureBuilder(StructParams(m, n))
+    ids = [bld.add_point() if is_point else bld.add_line() for is_point in sorts]
+    lns = [e for e, is_point in zip(ids, sorts) if not is_point]
+    for p in (e for e, is_point in zip(ids, sorts) if is_point):
+        for l in rng.sample(lns, rng.randint(0, min(len(lns), n + 1))):
+            bld.add_incidence(p, l, guard=False)
+    return bld.build()
+
+
+def side_subsets(s):
+    """The subsets each side's scan covers: n-sets of lines through each
+    point, m-sets of points on each line."""
+    m, n, adj = s.params.m, s.params.n, s._adj
+    return (sum(math.comb(len(adj[p]), n) for p in s.points),
+            sum(math.comb(len(adj[l]), m) for l in s.lines))
+
+
+def scans_point_side(s):
+    on_points, on_lines = side_subsets(s)
+    return on_points < on_lines
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_freeness_matches_reference_scan_on_point_side_inputs(seed):
+    s = point_side_structure(seed)
+    assert is_kmn_free(s) == reference_is_kmn_free(s)
+
+
+def test_point_side_inputs_reach_both_verdicts_on_the_point_side():
+    shown = [s for s in map(point_side_structure, range(300)) if scans_point_side(s)]
+    assert len(shown) >= 100
+    assert {is_kmn_free(s)[0] for s in shown} == {True, False}
+
+
+@given(unguarded_structures())
+@settings(max_examples=300, deadline=None)
+def test_scan_on_either_side_gives_one_verdict(s):
+    m, n, adj = s.params.m, s.params.n, s._adj
+    on_lines = core._scan(adj, s.lines, m, n)
+    on_points = core._scan(adj, s.points, n, m)
+    assert (on_lines is None) == (on_points is None) == reference_is_kmn_free(s)[0]
+    for grid, k, need in ((on_lines, m, n), (on_points, n, m)):
+        if grid is not None:  # k elements with at least ``need`` common ones
+            tops, common = grid
+            assert len(tops) == k and list(tops) == sorted(tops)
+            assert len(common) >= need
+            assert all(c in adj[e] for e in tops for c in common)
+
+
+def scanned_sides(monkeypatch, s):
+    """is_kmn_free(s) with the outer sort of each ``_scan`` it runs and the
+    number of ``_grid`` calls in all."""
+    sides, grids = [], [0]
+    scan, grid = core._scan, core._grid
+
+    def counting_scan(adj, outer, k, need):
+        sides.append("points" if outer is s.points else "lines")
+        return scan(adj, outer, k, need)
+
+    def counting_grid(*args):
+        grids[0] += 1
+        return grid(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_scan", counting_scan)
+        patch.setattr(core, "_grid", counting_grid)
+        verdict = is_kmn_free(s)
+    return verdict, sides, grids[0]
+
+
+def points_only(m, n, k):
+    return build(m, n, points=[f"p{i}" for i in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("make, side", [
+    pytest.param(lambda: gamma("01" * 1000).structure, "points",
+                 id="gamma 2000 bits"),
+    pytest.param(lambda: completion.free_completion(
+        points_only(3, 4, 5), 2).final.structure, "points", id="(3,4) stage 2"),
+    pytest.param(lambda: completion.free_completion(
+        points_only(2, 2, 4), 7).final.structure, "lines", id="(2,2) stage 7"),
+])
+def test_free_inputs_are_scanned_once_on_the_side_with_fewer_subsets(
+        monkeypatch, make, side):
+    s = make()
+    verdict, sides, grids = scanned_sides(monkeypatch, s)
+    assert verdict == (True, None)
+    assert sides == [side]
+    assert grids <= min(side_subsets(s))
+
+
+def test_a_grid_found_on_the_point_side_is_reported_by_the_line_scan(monkeypatch):
+    # two long lines sharing points 0 and 5: a K_{2,2} whose line-scan
+    # witness is the colex-first pair on the first line
+    s = build(2, 2, points=[f"p{i}" for i in range(8)], lines=("u", "v"),
+              incidences=[(f"p{i}", "u") for i in range(8)]
+              + [("p0", "v"), ("p5", "v")], guard=False)
+    assert scans_point_side(s)
+    verdict, sides, _ = scanned_sides(monkeypatch, s)
+    assert sides == ["points", "lines"]
+    assert verdict == reference_is_kmn_free(s)
+    assert verdict[1].points == {s.by_name("p0"), s.by_name("p5")}
 
 
 def test_freeness_witness_comes_from_the_lowest_line():

@@ -376,6 +376,17 @@ def test_deep_terms_copy_to_themselves():
     t = g.term_provenance[len(g.structure) - 1]
     assert copy.deepcopy(t) is t
     assert copy.copy(t) is t
+    chain = h_chain(5_000)
+    for deep in (t, chain):  # both nest far past the recursion limit
+        assert pickle.loads(pickle.dumps(deep)) is deep
+
+
+def test_a_pickled_deep_term_is_rebuilt_after_it_was_dropped():
+    data = pickle.dumps(h_chain(5_000))
+    gc.collect()
+    again = pickle.loads(data)
+    assert again is h_chain(5_000)
+    assert again.left is again.right and again.arity() == 1
 
 
 def test_dropped_terms_leave_the_intern_table():
