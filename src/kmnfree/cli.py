@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence
 
 from .amalgam import (
@@ -45,7 +46,6 @@ from .amalgam import (
 from .closure import closure_stages
 from .completion import (
     BudgetError,
-    CompletionStage,
     free_completion,
     relative_free_completion,
 )
@@ -176,27 +176,39 @@ def _dumps(obj: dict) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_array(items: List[str], pad: str) -> str:
-    """A JSON array of already encoded ``items``, laid out at indent ``pad``."""
+def _json_array(items: List[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array of already encoded ``items``, laid out at indent ``pad``
+    (an object of encoded members with ``brackets="{}"``)."""
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
 
 
-def _document_text(s: IncidenceStructure, provenance: Optional[str]) -> str:
+def _document_text(s: IncidenceStructure, provenance: Optional[str] = None,
+                   sizes: Sequence[int] = ()) -> str:
     """``_dumps(structure_document(s, ...))``, written directly: each name
     is escaped once and the fixed layout is joined from strings.
-    ``provenance`` is that key's value, already written at indent two."""
-    q = [_quote(nm) for nm in s._names]
-    adj = s._adj
-    incidences = [
-        f"[\n      {q[p]},\n      {q[l]}\n    ]"
-        for p in s.points
-        for l in sorted(adj[p])
-    ]
+    ``provenance`` is that key's value, already written at indent two, unless
+    ``sizes`` holds the stage sizes of a free completion whose last stage is
+    ``s``.  Then each fresh element e is written in name order (the order of
+    ``sort_keys``), with its spawner read by the rule of the ``completion``
+    docstring and its stage, the first k with e < sizes[k]."""
+    names, adj = s._names, s._adj
+    q = [_quote(nm) for nm in names]
+    if sizes:
+        sep = ",\n        "
+        provenance = _json_array([
+            f'{q[e]}: {{\n      "spawner": [\n        '
+            f'{sep.join([q[x] for x in sorted(adj[e]) if x < e])}'
+            f'\n      ],\n      "stage": {bisect_right(sizes, e)}\n    }}'
+            for e in sorted(range(sizes[0], sizes[-1]), key=names.__getitem__)
+        ], "  ", "{}")
     out = [
-        '{\n  "incidences": ', _json_array(incidences, "  "),
+        '{\n  "incidences": ', _json_array([
+            f"[\n      {q[p]},\n      {q[l]}\n    ]"
+            for p in s.points for l in sorted(adj[p])
+        ], "  "),
         ',\n  "lines": ', _json_array([q[l] for l in s.lines], "  "),
         f',\n  "m": {json.dumps(s.params.m)},\n  "n": {json.dumps(s.params.n)}',
         ',\n  "points": ', _json_array([q[p] for p in s.points], "  "),
@@ -244,21 +256,6 @@ def emit_structure(
             out.append(f"  {_dot_quote(s.name(p))} -- {_dot_quote(s.name(l))};")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def _provenance_text(stage: CompletionStage) -> str:
-    """The provenance of a completion stage, record by record, as
-    ``emit_structure`` writes the equivalent dict of ``stage.provenance``."""
-    names = stage.structure._names
-    q, sep = [_quote(nm) for nm in names], ",\n        "
-    records = sorted(
-        (names[e], f'{q[e]}: {{\n      "spawner": [\n        '
-                   f'{sep.join([q[x] for x in sorted(sp)])}'
-                   f'\n      ],\n      "stage": {k}\n    }}')
-        for k in range(1, stage.k + 1) for e, sp in stage.born(k)
-    )
-    body = ",\n    ".join(text for _, text in records)
-    return "{\n    " + body + "\n  }" if records else "{}"
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +384,7 @@ def _cmd_complete(args) -> int:
     run = free_completion(s, stages=args.stages, element_cap=args.elements)
     final = run.final.structure
     if args.emit == "json":
-        prov = _provenance_text(run.final)
-        sys.stdout.write(_document_text(final, prov))
+        sys.stdout.write(_document_text(final, sizes=run.final.sizes))
     else:
         sys.stdout.write(emit_structure(final, args.emit))
     print(f"stage {run.final.k}: {_counts(final)} (sizes {run.sizes()})",

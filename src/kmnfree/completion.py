@@ -32,8 +32,8 @@ incident with exactly its spawner, whose ids are all older; it gains an
 incidence later only from a later spawn, which has a larger id (fresh
 elements of one stage are never incident with each other).  So the spawner
 of e is the set of its neighbours below e, and in a staged run its stage is
-the k with ``sizes[k-1] <= e < sizes[k]``.  The ``provenance`` views of
-``CompletionStage`` and ``LazyCompletion`` are read by this rule.
+the k with ``sizes[k-1] <= e < sizes[k]``.  ``CompletionStage.provenance``
+and the ``complete`` command's document are read by this rule.
 """
 
 from __future__ import annotations
@@ -335,8 +335,8 @@ class LazyCompletion(StructureBuilder):
     ``points_on`` are its checked forms.  Spawner sets identify spawned
     elements with the corresponding free-completion elements, so set
     closures computed here equal closures computed in the full completion.
-    A spawned element's spawner is read by the spawner rule (module
-    docstring): ``provenance`` is that view, with stage -1 throughout.
+    A spawned element's spawner is its neighbours below it (the spawner rule
+    in the module docstring), so the workspace records no origins.
     """
 
     def __init__(self, base: IncidenceStructure, element_cap: int = 100_000):
@@ -349,13 +349,6 @@ class LazyCompletion(StructureBuilder):
 
     def snapshot(self) -> IncidenceStructure:
         return self.build()
-
-    @property
-    def provenance(self) -> dict:
-        """spawned element id -> Provenance, in spawn order."""
-        adj = self._adj
-        return {e: Provenance(e, -1, _spawner(adj, e))
-                for e in range(len(self.base), len(adj))}
 
     def _spawn(self, sort: Sort, spawner: Sequence[int]) -> int:
         if len(self) + 1 > self.element_cap:

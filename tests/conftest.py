@@ -100,10 +100,19 @@ def reference_completion_provenance(s, prov):
     }
 
 
+def spawn_records(work):
+    """The spawns of a workspace as the spawner rule reads them from
+    ``work.snapshot()``: spawned id -> Provenance(e, -1, its neighbours
+    below e), in spawn order."""
+    s = work.snapshot()
+    return {e: Provenance(e, -1, frozenset(x for x in s.neighbors(e) if x < e))
+            for e in range(len(work.base), len(s))}
+
+
 class RecordingCompletion(LazyCompletion):
     """Reference copy of the workspace's former provenance records: each
     spawn stored ``Provenance(fresh, -1, frozenset(spawner))`` in a dict,
-    kept here as ``recorded`` beside the derived ``provenance`` view."""
+    kept here as ``recorded`` to check ``spawn_records`` against."""
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)

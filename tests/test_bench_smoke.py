@@ -1,5 +1,6 @@
 """One short benchmark run: perfbench/run.py still runs, checks its own
 answers and reports exactly the end-to-end metrics BENCHMARK.json declares.
+And the library names perfbench wraps or patches still exist.
 
 The benchmark itself stays out of the suite; this runs the search-mix
 workload for one second (about two seconds in all).
@@ -28,3 +29,38 @@ def test_search_mix_smoke_run():
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+# Run in a fresh interpreter, as perfbench imports the package: load
+# perfbench/spans.py by path and print every name it wraps (ENTRY_POINTS) or
+# patches (WorkHooks) that getattr cannot resolve.
+RESOLVE = """
+import importlib, importlib.util, json, sys
+spans_path, src = sys.argv[1:]
+sys.path.insert(0, src)
+spec = importlib.util.spec_from_file_location("spans", spans_path)
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+wanted = [(mod, entry if isinstance(entry, tuple) else (entry,))
+          for mod, entries in spans.ENTRY_POINTS.items() for entry in entries]
+wanted += [("completion", ("free_completion",)),
+           ("completion", ("LazyCompletion", "__init__"))]
+missing = []
+for mod, path in wanted:
+    obj = importlib.import_module("kmnfree." + mod)
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    if not callable(obj):
+        missing.append(".".join((mod,) + path))
+print(json.dumps(missing))
+"""
+
+
+def test_benchmark_entry_points_resolve():
+    # a deleted or moved name breaks --trace 1 runs (ENTRY_POINTS) or the
+    # always-on spawn counters (WorkHooks), which the smoke run above skips
+    argv = [sys.executable, "-c", RESOLVE, str(ROOT / "perfbench" / "spans.py"),
+            str(ROOT / "src")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

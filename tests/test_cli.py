@@ -30,7 +30,7 @@ from kmnfree import (
 from kmnfree.cli import (
     DocumentError,
     _build_parser,
-    _provenance_text,
+    _document_text,
     dispatch,
     fixture_text,
     structure_document,
@@ -205,6 +205,7 @@ def test_document_writer_matches_json_dumps_on_a_completion():
     (2, 2, ["l9", "l10", "p9", "p10"], (), 2),
     (3, 2, ["p1", "p2", "p3", "p4"], ["l10", "l9"], 1),
     (2, 2, ["p1", "p2", "p3", "p4"], (), 0),
+    (2, 2, ["a", "b"], (), 4),  # sizes pad to [2, 3, 3, 3, 3]
 ])
 def test_completion_document_matches_the_provenance_dict(
         capsys, tmp_path, m, n, points, lines, stages):
@@ -214,8 +215,8 @@ def test_completion_document_matches_the_provenance_dict(
     final = free_completion(seed, stages).final
     s = final.structure
     prov = reference_completion_provenance(s, final.provenance)
-    assert _provenance_text(final) == json.dumps(
-        prov, indent=2, sort_keys=True).replace("\n", "\n  ")
+    assert _document_text(s, sizes=final.sizes) == _document_text(s, json.dumps(
+        prov, indent=2, sort_keys=True).replace("\n", "\n  "))
     assert (prov == {}) == (stages == 0)
     f = tmp_path / "seed.json"
     f.write_text(emit_structure(seed))
@@ -429,6 +430,20 @@ def test_pattern_command(capsys):
     code, doc, err = run_json(capsys, "pattern", "--instances", "3")
     assert code == 0
     assert doc["status"] == "inconsistent"
+
+
+@pytest.mark.parametrize("instances", [4, 5])
+def test_pattern_past_three_instances_ends_at_the_candidate_budget(capsys,
+                                                                   instances):
+    # the sequence's own check only refutes: its closures of three points and
+    # a line do not converge at (2,2), and that no longer ends the command
+    code, doc, err = run_json(capsys, "pattern", "--instances", str(instances),
+                              "--elements", "2000", "--nodes", "1000")
+    assert code == 2
+    assert doc == {"command": "pattern", "m": 2, "n": 2,
+                   "instances": instances, "status": "unknown", "stage": 1,
+                   "candidates": 1001,
+                   "detail": "candidate budget 1000 exhausted"}
 
 
 @pytest.mark.parametrize("instances", ["0", "-1"])

@@ -33,7 +33,12 @@ from kmnfree import (
 from kmnfree.completion import _deficient
 from kmnfree.core import colex_combinations
 
-from conftest import RecordingCompletion, quadrangle_structure, random_free_structure
+from conftest import (
+    RecordingCompletion,
+    quadrangle_structure,
+    random_free_structure,
+    spawn_records,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -250,7 +255,7 @@ def test_lazy_closure_matches_reference_loop(seed):
             ref, seed_set, budget
         )
         assert work.snapshot() == ref.snapshot()
-        assert work.provenance == ref.provenance == ref.recorded
+        assert spawn_records(work) == spawn_records(ref) == ref.recorded
 
 
 @given(seeds)

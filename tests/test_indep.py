@@ -28,6 +28,7 @@ from conftest import (
     build,
     otimes_over_i_structure,
     random_free_structure,
+    spawn_records,
 )
 
 
@@ -291,6 +292,18 @@ def test_sequence_validation(quadrangle):
         indep_sequence(quadrangle, (0, 1), frozenset(), 2, stage_budget=0)
 
 
+@pytest.mark.parametrize("status", list(Status))
+def test_sequence_check_only_refutes(quadrangle, monkeypatch, status):
+    # independent by construction: only a DEPENDENT verdict stops the build
+    monkeypatch.setattr(indep, "check",
+                        lambda query: indep.Verdict(status, detail="stub"))
+    if status is Status.DEPENDENT:
+        with pytest.raises(RuntimeError, match="construction bug"):
+            indep_sequence(quadrangle, (0,), frozenset(), 2)
+    else:
+        assert len(indep_sequence(quadrangle, (0,), frozenset(), 2).tuples) == 2
+
+
 # ---------------------------------------------------------------------------
 # the one checker against reference copies of the former checkers, which
 # ran the three closures of an I check over every DIV base in a snapshot
@@ -421,8 +434,8 @@ def test_check_matches_the_former_checkers(seed):
     want, ref_work = ref_check(q)
     assert v == want
     assert work.snapshot() == ref_work.snapshot()
-    assert work.provenance == ref_work.provenance
-    assert work.provenance == work.recorded == ref_work.recorded
+    assert spawn_records(work) == spawn_records(ref_work)
+    assert spawn_records(work) == work.recorded == ref_work.recorded
 
 
 def test_reference_comparison_reaches_every_outcome():
