@@ -446,6 +446,29 @@ def test_pattern_past_three_instances_ends_at_the_candidate_budget(capsys,
                    "detail": "candidate budget 1000 exhausted"}
 
 
+SURVIVES = "a quotient survives but the base closure did not converge within 1 stages"
+
+
+@pytest.mark.parametrize("m, n, instances, caps, candidates, detail", [
+    (3, 2, 3, (), 8_514_851, SURVIVES),
+    (3, 3, 3, (), 10_000_001, "candidate budget 10000000 exhausted"),
+    (2, 4, 2, (), 4_655, SURVIVES),
+    # the sequence's own check spawns toward the element cap before the
+    # search starts; at the default cap of 100,000 that did not end in 150 s
+    (2, 3, 3, ("--elements", "2000"), 2_200_538, SURVIVES),
+], ids=["3-2x3", "3-3x3", "2-4x2", "2-3x3"])
+def test_pattern_at_default_budgets_is_pinned(capsys, m, n, instances, caps,
+                                              candidates, detail):
+    # each run ends undecided at the default stage and candidate budgets
+    # (--stages 1 --nodes 10000000)
+    code, doc, err = run_json(capsys, "pattern", "--m", str(m), "--n", str(n),
+                              "--instances", str(instances), *caps)
+    assert code == 2
+    assert doc == {"command": "pattern", "m": m, "n": n,
+                   "instances": instances, "status": "unknown", "stage": 1,
+                   "candidates": candidates, "detail": detail}
+
+
 @pytest.mark.parametrize("instances", ["0", "-1"])
 def test_pattern_needs_an_instance(capsys, instances):
     code, doc, err = run_json(capsys, "pattern", "--instances", instances)

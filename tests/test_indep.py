@@ -304,6 +304,33 @@ def test_sequence_check_only_refutes(quadrangle, monkeypatch, status):
         assert len(indep_sequence(quadrangle, (0,), frozenset(), 2).tuples) == 2
 
 
+@pytest.mark.parametrize("relation", [Relation.ALG, Relation.I])
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_sequences_are_independent_by_construction(m, n, relation):
+    # each b_i joins its predecessors by a free amalgam over the converged
+    # closure of c: no check finds it dependent on them over c, and some
+    # checks decide it independent, so the property is not vacuous
+    cap, length, decided = 500, 3, 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        amb = random_free_structure(rng, m, n)
+        elems = sorted(amb.elements())
+        b = rng.sample(elems, rng.randint(1, min(2, len(elems))))
+        rest = [e for e in elems if e not in b]
+        c = frozenset(rng.sample(rest, rng.randint(0, min(2, len(rest)))))
+        try:
+            seq = indep_sequence(amb, b, c, length, relation, element_cap=cap)
+        except BudgetError:  # the closures of c or bc did not converge
+            continue
+        for i in range(1, length):
+            before = {e for t in seq.tuples[:i] for e in t}
+            v = check(q(seq.ambient, seq.tuples[i], before, seq.c_ids, relation,
+                        element_cap=cap))
+            assert v.status is not Status.DEPENDENT, (seed, i, v.detail)
+            decided += v.status is Status.INDEPENDENT
+    assert decided
+
+
 # ---------------------------------------------------------------------------
 # the one checker against reference copies of the former checkers, which
 # ran the three closures of an I check over every DIV base in a snapshot
