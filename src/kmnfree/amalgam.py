@@ -458,28 +458,32 @@ class PatternVerdict:
     detail: str
 
 
-def _set_partitions(items: Sequence) -> list:
-    """All partitions of items into nonempty blocks, canonical order."""
-    items = list(items)
-    if not items:
-        return [()]
-    out = []
+def _partitions(items: Sequence, k: int) -> list:
+    """Partitions of items into k blocks: each item joins a block or opens
+    one, and a prefix that can no longer reach k blocks is dropped."""
+    parts = [()]
+    for i, x in enumerate(items):
+        left = len(items) - 1 - i  # items still to place after x
+        grown = []
+        for p in parts:
+            if len(p) + left >= k:
+                grown += [p[:j] + (p[j] + (x,),) + p[j + 1:] for j in range(len(p))]
+            if len(p) < k:
+                grown.append(p + ((x,),))
+        parts = grown
+    return parts
 
-    def rec(idx, blocks):
-        if idx == len(items):
-            out.append(tuple(tuple(blk) for blk in blocks))
-            return
-        x = items[idx]
-        for blk in blocks:
-            blk.append(x)
-            rec(idx + 1, blocks)
-            blk.pop()
-        blocks.append([x])
-        rec(idx + 1, blocks)
-        blocks.pop()
 
-    rec(0, [])
-    return out
+def _quotients(pts: Sequence, lns: Sequence) -> Iterable[tuple]:
+    """Point partition + line partition pairs by (merges, blocks), where merges
+    is tokens minus blocks, built one merge layer at a time."""
+    most_p, most_l = max(len(pts) - 1, 0), max(len(lns) - 1, 0)
+    for r in range(most_p + most_l + 1):
+        layer = []
+        for rp in range(max(r - most_l, 0), min(r, most_p) + 1):
+            lps = _partitions(lns, len(lns) - (r - rp))
+            layer += [pp + lp for pp in _partitions(pts, len(pts) - rp) for lp in lps]
+        yield from sorted(layer)
 
 
 def _injective_fills(blocks: int, targets: int) -> int:
@@ -517,13 +521,16 @@ def pattern_consistent(
     landing on closure elements use them as targets, the rest stay fresh) and
     its candidate would have survived.
 
-    ``candidates`` counts the assignments of the searched space in search
-    order, up to and including the survivor, or up to the one that exhausts
-    ``candidate_budget`` (then it is ``candidate_budget + 1``).  The cheap
-    checks (incidences demanded between closure elements, distinct images
-    within an instance) run as soon as a block's target decides them, and a
-    refuted partial assignment adds every assignment below it to the count
-    at once.
+    Quotients of the variable pool are searched by merges (occurrences minus
+    blocks), then by blocks, one merge layer built at a time.  ``candidates``
+    counts the assignments of the searched space in search order, up to and
+    including the survivor, or up to the one that exhausts ``candidate_budget``
+    (then it is ``candidate_budget + 1``).  The cheap checks (incidences
+    demanded between closure elements, distinct images within an instance)
+    run as soon as a block's target decides them, and a refuted partial
+    assignment adds every assignment below it to the count at once.  So the
+    budget bounds the space searched, not the time spent in ``evaluate``,
+    which copies the ground for each assignment that passes those checks.
 
     A_T is the id prefix ``range(len(A_T))`` of the workspace, so the ground
     induced on it keeps closure element ids, which serve as candidate ids.
@@ -602,14 +609,6 @@ def pattern_consistent(
                 seen_req.add(pair)
                 required.append(pair)
 
-    part_product = []
-    for pp in _set_partitions(pts):
-        for lp in _set_partitions(lns):
-            blocks = pp + lp
-            merges = sum(len(b) - 1 for b in blocks)
-            part_product.append((merges, blocks))
-    part_product.sort(key=lambda t: (t[0], t[1]))
-
     candidates = 0
     survivor = None
 
@@ -683,7 +682,7 @@ def pattern_consistent(
         point = token_sort[blk[0]] is Sort.POINT
         return (None,) + (ground.points if point else ground.lines)
 
-    for merges, blocks in part_product:
+    for blocks in _quotients(pts, lns):
         # point blocks come first; per sort, an assignment is an injective
         # choice of targets, fresh (None) first
         n_points = sum(token_sort[blk[0]] is Sort.POINT for blk in blocks)

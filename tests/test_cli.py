@@ -456,7 +456,12 @@ SURVIVES = "a quotient survives but the base closure did not converge within 1 s
     # the sequence's own check spawns toward the element cap before the
     # search starts; at the default cap of 100,000 that did not end in 150 s
     (2, 3, 3, ("--elements", "2000"), 2_200_538, SURVIVES),
-], ids=["3-2x3", "3-3x3", "2-4x2", "2-3x3"])
+    # 1,099,644 quotients, searched one merge layer at a time
+    (3, 2, 4, (), 10_000_001, "candidate budget 10000000 exhausted"),
+    # the lower cap for the same reason as 2-3x3: at the default cap the
+    # sequence's check did not end within 60 s
+    (3, 3, 4, ("--elements", "2000"), 10_000_001, "candidate budget 10000000 exhausted"),
+], ids=["3-2x3", "3-3x3", "2-4x2", "2-3x3", "3-2x4", "3-3x4"])
 def test_pattern_at_default_budgets_is_pinned(capsys, m, n, instances, caps,
                                               candidates, detail):
     # each run ends undecided at the default stage and candidate budgets

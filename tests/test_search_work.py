@@ -13,6 +13,7 @@ its node counts are pinned beside the reference's counts.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ from kmnfree import (
     tp2_pattern,
 )
 from kmnfree import amalgam
-from kmnfree.amalgam import PatternVerdict, QuotientAssignment, _set_partitions
+from kmnfree.amalgam import PatternVerdict, QuotientAssignment, _quotients
 from kmnfree.completion import LazyCompletion
 from kmnfree.core import CompletenessReport, common_neighbors, colex_combinations
 from kmnfree.finsearch import _PlaneSearch, _induced_embedding, clear_plane_cache
@@ -48,12 +49,12 @@ from kmnfree.finsearch import _PlaneSearch, _induced_embedding, clear_plane_cach
 from conftest import build, quadrangle_structure, random_free_structure
 
 
-def tp2_case(m, n, instances):
+def tp2_case(m, n, instances, element_cap=100_000):
     """tp2_pattern(m, n) over an independent sequence, as the CLI builds it."""
     b = StructureBuilder(StructParams(m, n))
     b0 = b.add_point("b0")
     cs = frozenset(b.add_line(f"c{j}") for j in range(1, n))
-    seq = indep_sequence(b.build(), (b0,), cs, instances)
+    seq = indep_sequence(b.build(), (b0,), cs, instances, element_cap=element_cap)
     rows = [t + tuple(sorted(seq.c_ids)) for t in seq.tuples]
     return seq.ambient, tp2_pattern(m, n), rows
 
@@ -189,8 +190,73 @@ def test_pattern_candidates_take_the_guard_not_a_scan(monkeypatch):
     assert scans == [] and len(builds) == 1
 
 
+def test_pattern_search_memory_is_bounded_by_the_layer_it_reaches():
+    # (3,2) x 4 pools 5 point and 5 line occurrences: 1,099,644 quotients,
+    # which the eager sorted product built (416.7 MiB traced) before its
+    # first candidate; the search spends its budget in the first layers
+    case = tp2_case(3, 2, 4, element_cap=2000)
+    tracemalloc.start()
+    try:
+        v = pattern_consistent(*case, stage_budget=1, candidate_budget=1000,
+                               element_cap=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.status, v.candidates) == (PatternStatus.UNKNOWN, 1_001)
+    assert v.detail == "candidate budget 1000 exhausted"
+    assert peak < 16 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # pattern_consistent against the per-leaf search
+
+
+def _set_partitions(items):
+    """All partitions of items into nonempty blocks, canonical order: the
+    recursive enumeration the search used before its lazy layers."""
+    items = list(items)
+    if not items:
+        return [()]
+    out = []
+
+    def rec(idx, blocks):
+        if idx == len(items):
+            out.append(tuple(tuple(blk) for blk in blocks))
+            return
+        x = items[idx]
+        for blk in blocks:
+            blk.append(x)
+            rec(idx + 1, blocks)
+            blk.pop()
+        blocks.append([x])
+        rec(idx + 1, blocks)
+        blocks.pop()
+
+    rec(0, [])
+    return out
+
+
+def reference_quotients(pts, lns):
+    """The eager product of every point and line partition, sorted by
+    (merges, point blocks + line blocks)."""
+    part_product = []
+    for pp in _set_partitions(pts):
+        for lp in _set_partitions(lns):
+            blocks = pp + lp
+            part_product.append((sum(len(b) - 1 for b in blocks), blocks))
+    part_product.sort(key=lambda t: (t[0], t[1]))
+    return [blocks for _, blocks in part_product]
+
+
+@pytest.mark.parametrize("n_lines", range(6))
+@pytest.mark.parametrize("n_points", range(8))
+def test_quotient_layers_follow_the_eager_sorted_product(n_points, n_lines):
+    # line pools as the search builds them (a shared token, then a witness
+    # token per instance); point pools in reverse token order, so the item
+    # order and the sort disagree
+    pts = [("w", j, "y") for j in reversed(range(n_points))]
+    lns = [("s", "c")] + [("w", j, "x") for j in range(n_lines - 1)] if n_lines else []
+    assert list(_quotients(pts, lns)) == reference_quotients(pts, lns)
 
 
 def reference_pattern_consistent(base, pattern, instances, stage_budget=1,
@@ -231,12 +297,6 @@ def reference_pattern_consistent(base, pattern, instances, stage_budget=1,
                 seen_req.add(pair)
                 required.append(pair)
 
-    part_product = []
-    for pp in _set_partitions(pts):
-        for lp in _set_partitions(lns):
-            blocks = pp + lp
-            part_product.append((sum(len(b) - 1 for b in blocks), blocks))
-    part_product.sort(key=lambda t: (t[0], t[1]))
     ground, ground_map = induced(ambient, a_t)
     candidates = 0
     survivor = None
@@ -286,7 +346,7 @@ def reference_pattern_consistent(base, pattern, instances, stage_budget=1,
                             return False
         return True
 
-    for _, blocks in part_product:
+    for blocks in reference_quotients(pts, lns):
         def rec(i, chosen, used):
             nonlocal candidates, survivor
             if survivor is not None:
