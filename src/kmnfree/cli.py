@@ -193,16 +193,24 @@ def _document_text(s: IncidenceStructure, provenance: Optional[str] = None,
     ``sizes`` holds the stage sizes of a free completion whose last stage is
     ``s``.  Then each fresh element e is written in name order (the order of
     ``sort_keys``), with its spawner read by the rule of the ``completion``
-    docstring and its stage, the first k with e < sizes[k]."""
+    docstring and its stage, the first k with e < sizes[k].  Nothing is born
+    after the last stage, so an element born there has its spawner as all
+    its neighbours; a padded fixpoint stage repeats the last count, so it
+    has no such element and every spawner is filtered."""
     names, adj = s._names, s._adj
     q = [_quote(nm) for nm in names]
     if sizes:
         sep = ",\n        "
+        first = sizes[0]
+        last = sizes[-2] if len(sizes) > 1 else first  # where the last stage begins
+        spawners = [sep.join([q[x] for x in sorted(adj[e]) if x < e])
+                    for e in range(first, last)]
+        spawners += [sep.join(map(q.__getitem__, sorted(adj[e])))
+                     for e in range(last, sizes[-1])]
         provenance = _json_array([
-            f'{q[e]}: {{\n      "spawner": [\n        '
-            f'{sep.join([q[x] for x in sorted(adj[e]) if x < e])}'
+            f'{q[e]}: {{\n      "spawner": [\n        {spawners[e - first]}'
             f'\n      ],\n      "stage": {bisect_right(sizes, e)}\n    }}'
-            for e in sorted(range(sizes[0], sizes[-1]), key=names.__getitem__)
+            for e in sorted(range(first, sizes[-1]), key=names.__getitem__)
         ], "  ", "{}")
     out = [
         '{\n  "incidences": ', _json_array([

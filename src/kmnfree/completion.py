@@ -5,8 +5,10 @@ deficient line set is an n-set of lines with at most m-2 common points.  One
 completion step adds, simultaneously against the start-of-stage structure,
 one fresh line per deficient point set (incident exactly with it) and one
 fresh point per deficient line set.  Iterating yields the free completion;
-every stage stays K_{m,n}-free.  One stage loop, ``_stages``, iterates it
-for ``free_completion``, ``gamma.nonfree_completion_probe`` and
+every stage stays K_{m,n}-free.  The deficiency scan ``_deficient`` walks
+the sets top first (largest element first), which is colex order.  One
+stage loop, ``_stages``, iterates the step for ``free_completion``,
+``gamma.nonfree_completion_probe`` and
 ``finsearch.embed_search_general``.  Steps write the fresh adjacency directly,
 unchecked, because no fresh element can lie in a grid (proof at
 ``complete_step``); ``LazyCompletion`` spawns through the guarded add.
@@ -54,7 +56,6 @@ from .core import (
     _default_name,
     _require_budgets,
     _require_free,
-    colex_combinations,
     embedding_fault,
     induced,
 )
@@ -109,21 +110,46 @@ class DeficientSets:
 
 
 def _deficient(s: IncidenceStructure, room: float = float("inf")) -> DeficientSets:
-    """The deficient sets; the scan stops once it finds more than ``room``."""
+    """The deficient sets; the scan stops once it finds more than ``room``
+    (a negative ``room`` counts as zero), keeping the first ``room + 1``.
+
+    One step per top element x, in id order: ``_short`` lists the sets whose
+    largest element is x, intersecting the common neighbours of each prefix
+    (the elements chosen so far, largest first) once; for 2-sets that is
+    one list comprehension per top.  So the sets come in colex order.
+    """
     m, n = s.params.m, s.params.n
-    forced = s.forced
+    adj = s._adj
+    room = max(room, 0)
     found = ([], [])
     scans = ((s.points, m, n - 2), (s.lines, n, m - 2))
     for short, (elems, k, most) in zip(found, scans):
-        for sub in colex_combinations(elems, k):
-            if len(forced(sub)) <= most:
-                short.append(frozenset(sub))
-                if len(short) > room:
-                    break
+        for i in range(k - 1, len(elems)):
+            x = elems[i]
+            short += _short(adj, elems, i, k - 1, most, adj[x], (x,))
+            if len(short) > room:
+                del short[room + 1:]
+                break
         if len(short) > room:
             break
         room -= len(short)
     return DeficientSets(*map(tuple, found))
+
+
+def _short(adj, elems: Sequence[int], end: int, k: int, most: int, common,
+           upper: tuple) -> list:
+    """The sets ``sub + upper`` as frozensets, for the k-sets ``sub`` of
+    ``elems[:end]`` (ascending) in colex order whose common neighbours
+    within ``common`` number at most ``most``.  Only the last level slices."""
+    if k == 0:
+        return [frozenset(upper)] if len(common) <= most else []
+    if k == 1:
+        return [frozenset((y,) + upper) for y in elems[:end] if len(common & adj[y]) <= most]
+    out = []
+    for i in range(k - 1, end):
+        y = elems[i]
+        out += _short(adj, elems, i, k - 1, most, common & adj[y], (y,) + upper)
+    return out
 
 
 def deficient_sets(s: IncidenceStructure) -> DeficientSets:
@@ -157,13 +183,19 @@ def complete_step(stage: CompletionStage) -> CompletionStage:
 def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
     """``complete_step`` on a free stage whose deficient sets are ``defs``.
     Fresh elements take their spawners as adjacency and the names
-    ``StructureBuilder`` would give; untouched elements keep their sets."""
+    ``StructureBuilder`` would give: ``l{e}`` and ``p{e}``, named one by one
+    only when one of those is a name of the stage; untouched elements keep
+    their sets."""
     s, k1 = stage.structure, stage.k + 1
     spawners = defs.point_sets + defs.line_sets
     sorts = (Sort.LINE,) * len(defs.point_sets) + (Sort.POINT,) * len(defs.line_sets)
-    names, gained = [], defaultdict(list)
-    for e, srt, spawner in zip(count(len(s)), sorts, spawners):
-        names.append(_default_name(srt, e, s._ids))
+    first, cut = len(s), len(s) + len(defs.point_sets)
+    names = ([f"l{e}" for e in range(first, cut)]
+             + [f"p{e}" for e in range(cut, first + len(spawners))])
+    if not s._ids.keys().isdisjoint(names):
+        names = [_default_name(srt, e, s._ids) for e, srt in zip(count(first), sorts)]
+    gained = defaultdict(list)
+    for e, spawner in enumerate(spawners, first):
         for q in spawner:
             gained[q].append(e)
     adj = list(s._adj)

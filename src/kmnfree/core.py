@@ -12,12 +12,15 @@ checkers) is built on the small vocabulary here:
   their sorts, names, adjacency and name index through the base ``_Store``.
 * ``is_kmn_free`` / ``satisfies_complete``: the forbidden-configuration scan
   and the "every m points on exactly n-1 lines, every n lines on exactly m-1
-  points" test, both with deterministic witnesses.  The freeness scan
-  ``_scan`` grows m-sets on each line from the largest point down and
-  extends only by the top point's *partners*, the points sharing at least n
-  lines with it (the shared-neighbour count used to find 4-cycles; Alon,
-  Yuster and Zwick, Algorithmica 17, 1997).  When the n-sets of lines
-  through each point are fewer, the same scan runs over those to decide.
+  points" test, both with deterministic witnesses.  Freeness is decided by
+  one pass, ``_has_grid``, with one step per *top*: for each point x it
+  counts x's *partners*, the smaller points sharing at least n lines with
+  it (the shared-neighbour count used to find 4-cycles; Alon, Yuster and
+  Zwick, Algorithmica 17, 1997; Chiba and Nishizeki, SIAM J. Comput. 14,
+  1985), and searches for a grid topped by x (``_grid``) only among them,
+  or the same over the lines when that costs less.  Only a hit runs the
+  line scan ``_scan``, which grows m-sets on each line by the same
+  partners, for the colex-first witness.
 * ``_match``: the one backtracking matcher, iterative, for injective maps
   that keep sorts and incidence.  ``isomorphic_over`` runs it to extend a
   partial base map (to the lexicographically least isomorphism), and
@@ -397,6 +400,20 @@ def _grid(adj, n: int, common: frozenset, cands: list, k: int):
     return None
 
 
+def _partners(adj, x: int, need: int) -> set:
+    """The elements below x sharing at least ``need`` neighbours with x.
+
+    One count over x's neighbours' neighbours.  x lies in every set
+    counted, and with ``need`` above one a partner lies in two of them, so
+    the count is skipped when the set sizes add up to no repeat.
+    """
+    around = list(map(adj.__getitem__, adj[x]))
+    if need > 1 and sum(map(len, around)) - len(around) == len(set().union(*around)) - 1:
+        return set()
+    shared = Counter(chain.from_iterable(around))
+    return {y for y, c in shared.items() if c >= need and y < x}
+
+
 def _scan(adj, outer, k: int, need: int):
     """The colex-first k neighbours with at least ``need`` common ones of the
     first element of ``outer`` (in order) that has such, as (those k,
@@ -404,10 +421,9 @@ def _scan(adj, outer, k: int, need: int):
 
     Each element's neighbours are searched depth first, largest first and
     every level in ascending order, which visits their k-sets in colex
-    order.  Below a top element x only x's partners are tried: the smaller
-    ones sharing at least ``need`` neighbours with x, counted on x's first
-    time on top.  No grid holds x and a skipped element, so the first grid
-    found is still the colex-first.
+    order.  Below a top element x only x's ``_partners`` are tried, counted
+    on x's first time on top.  No grid holds x and a skipped element, so the
+    first grid found is still the colex-first.
     """
     partners: dict = {}  # top element -> the smaller ones sharing >= need
     for o in outer:
@@ -418,40 +434,56 @@ def _scan(adj, outer, k: int, need: int):
                 continue
             near = partners.get(x)
             if near is None:
-                shared = Counter(chain.from_iterable(adj[z] for z in adj[x]))
-                near = partners[x] = {y for y, c in shared.items() if c >= need and y < x}
+                near = partners[x] = _partners(adj, x, need)
             found = _grid(adj, need, adj[x], [y for y in inner[:i] if y in near], k - 1)
             if found is not None:
                 return found[0] + (x,), found[1]
     return None
 
 
+def _has_grid(adj, tops, k: int, need: int) -> bool:
+    """Do some k elements of ``tops``' sort have at least ``need`` common
+    neighbours?  One step per top x: a grid whose largest element is x has
+    its other k-1 among x's ``_partners``, so ``_grid`` runs only on those,
+    and only when there are k-1 of them."""
+    for x in tops:
+        ax = adj[x]
+        if len(ax) < need:
+            continue
+        near = _partners(adj, x, need)
+        if len(near) >= k - 1 and _grid(adj, need, ax, sorted(near), k - 1) is not None:
+            return True
+    return False
+
+
 def is_kmn_free(s: IncidenceStructure):
     """(True, None) if s has no complete K_{m,n}; else (False, witness).
 
-    A K_{m,n} has all m points on each of its n lines, so ``_scan`` over the
-    m-sets of each line's points (the line scan) finds every one.  Dually,
-    at any of its m points it is an n-set of that point's lines with at
-    least m common points, so ``_scan`` over the n-sets of each point's
-    lines finds every one too: its partner filter drops only lines sharing
-    fewer than m points with the top line, and no grid holds two such.
-    That point scan runs, only to decide, when sum_p C(deg p, n) is strictly
-    below sum_l C(deg l, m).  On a hit, as on every other input, the line
-    scan runs, so the witness is the colex-first m-set on the first line (in
+    A decision pass runs first, over the points as tops (m points with at
+    least n common lines) or over the lines (n lines with at least m common
+    points).  Its partner filter misses no grid: every other element of a
+    grid shares at least the grid's n lines (or m points) with the grid's
+    largest element, its top, so it is among the top's partners.  The
+    pass's cost is its partner counts, which walk each top's neighbours'
+    neighbours: sum_l (deg l)^2 with the points on top, sum_p (deg p)^2
+    with the lines on top.  The lines are on top only when that is strictly
+    the smaller sum.
+
+    Only a hit runs the line scan ``_scan`` over the m-sets of each line's
+    points, so the witness is the colex-first m-set on the first line (in
     id order) that carries a grid, with the n lowest of its common lines.
     """
     m, n = s.params.m, s.params.n
     adj = s._adj
     excess = 0  # in plain loops: generators would cost as much as a tiny scan
     for l in s.lines:
-        excess += comb(len(adj[l]), m)
+        excess += len(adj[l]) ** 2
     for p in s.points:
-        excess -= comb(len(adj[p]), n)
-    if excess > 0 and _scan(adj, s.points, n, m) is None:
+        excess -= len(adj[p]) ** 2
+    tops, k, need = (s.lines, n, m) if excess > 0 else (s.points, m, n)
+    if not _has_grid(adj, tops, k, need):
         return True, None
     found = _scan(adj, s.lines, m, n)
-    if found is None:
-        return True, None
     return False, FreenessWitness(frozenset(found[0]), frozenset(sorted(found[1])[:n]))
 
 

@@ -238,6 +238,29 @@ def test_quadrangle_completion_documents_are_pinned(
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("m, n, points, lines, incidences, digest", [
+    # sizes [4, 7, 8, 8, 8, 8]: stage-1 lines gain stage-2 points
+    (2, 2, ["a0"], ["u0", "u1", "u2"], [("a0", "u0")],
+     "2fbc0a01c06252b240aaae362b87b3c555bc7834d7bfd0f1e8e9c90316ab2833"),
+    # sizes [4, 5, 6, 7, 7, 7]
+    (2, 3, ["a0"], ["u0", "u1", "u2"], [],
+     "49fb4d0cf66e3f8bb9636fe20ca714737ab8b486915e519e97fd77bbb9595adf"),
+    # sizes [3, 4, 5, 6, 6, 6]
+    (3, 2, ["a0"], ["u0", "u1"], [],
+     "b20f607d70502d52a01cd57015ef4bdf32537be7842d0278062da39fd0114fb0"),
+])
+def test_completion_documents_past_the_fixpoint_are_pinned(
+        capsys, tmp_path, m, n, points, lines, incidences, digest):
+    # past the fixpoint the sizes repeat the last count, so no element is
+    # taken for one born at the last stage: every spawner is filtered
+    f = tmp_path / "seed.json"
+    f.write_text(emit_structure(build(m, n, points=points, lines=lines,
+                                      incidences=incidences)))
+    code, text, _ = run(capsys, "complete", str(f), "--stages", "5")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("gamma", "--eta", "0110"),
      "2c1f3ecdd353c93cbbac436acfeb5a75c3c61cfc35df92d6f25d8d19904f91a4"),

@@ -219,6 +219,37 @@ def test_budget_error_before_overflow(quadrangle):
         free_completion(quadrangle, 1, element_cap=2)
     fixpoint = free_completion(build(2, 2, points=("a", "b", "c")), 1).final
     assert free_completion(fixpoint.structure, 2, element_cap=3).sizes() == [6, 6, 6]
+    # with no deficient point set the line sets still count: three parallel
+    # lines past a cap of 2 would grow, so they are no fixpoint
+    with pytest.raises(BudgetError):
+        free_completion(build(2, 2, lines=("u", "v", "w")), 1, element_cap=2)
+
+
+def reference_deficient(s):
+    """The deficient point m-sets and line n-sets by the colex oracle: every
+    subset intersected from scratch, as the scan did before it went top
+    first."""
+    m, n = s.params.m, s.params.n
+    return ([frozenset(t) for t in colex(s.points, m) if len(s.forced(t)) <= n - 2],
+            [frozenset(t) for t in colex(s.lines, n) if len(s.forced(t)) <= m - 2])
+
+
+@pytest.mark.parametrize("m, n", itertools.product(range(1, 5), repeat=2))
+def test_deficient_matches_the_colex_reference_at_every_room(m, n):
+    # with m or n = 1 the bound m-2 or n-2 is negative: no set of that
+    # family is deficient, while the 1-sets of the other sort may be
+    rng = random.Random(2800 + 10 * m + n)
+    for _ in range(12):
+        s = random_free_structure(rng, m, n, max_elements=9)
+        points, lines = reference_deficient(s)
+        full = _deficient(s)
+        assert full == completion.DeficientSets(tuple(points), tuple(lines))
+        sets = points + lines
+        for room in range(-2, len(sets) + 3):
+            got = _deficient(s, room)
+            keep = max(room, 0) + 1
+            assert got.point_sets == tuple(points[:keep])
+            assert got.line_sets == tuple(lines[:max(keep - len(points), 0)])
 
 
 def test_deficient_scan_stops_once_past_room():
@@ -345,12 +376,19 @@ def test_direct_step_matches_builder_step(data):
 
 
 def test_fresh_names_step_past_taken_ones():
-    # fresh ids 4..9 are lines: l4 and _l4 are taken, so the first is __l4
-    seed = build(2, 2, points=("l4", "_l4", "p5", "l5"))
-    stage = free_completion(seed, 1).final.structure
-    assert [stage.name(e) for e in range(4, 10)] == [
-        "__l4", "_l5", "l6", "l7", "l8", "l9"]
-    check_steps(seed, 3)
+    for points, lines, names in [
+        # fresh ids 4..9 are lines: l4 and _l4 are taken, so the first is __l4
+        (("l4", "_l4", "p5", "l5"), (),
+         ["__l4", "_l5", "l6", "l7", "l8", "l9"]),
+        # fresh lines 6..8 and points 9..11 step past l7 and p10, spawn
+        # names held by the base at ids beyond its size
+        (("a", "b", "l7"), ("p10", "u", "v"),
+         ["l6", "_l7", "l8", "p9", "_p10", "p11"]),
+    ]:
+        seed = build(2, 2, points=points, lines=lines)
+        stage = free_completion(seed, 1).final.structure
+        assert [stage.name(e) for e in range(len(seed), len(stage))] == names
+        check_steps(seed, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,12 @@ def reference_is_kmn_free(s):
 
 
 @st.composite
-def unguarded_structures(draw):
+def unguarded_structures(draw, m=None, n=None):
     """Small structures with point and line ids interleaved and incidences
     added unguarded, from empty to dense: short lines, low-degree points
-    and grids all occur."""
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    and grids all occur.  m and n are drawn from 1..4 unless given."""
+    m = draw(st.integers(1, 4)) if m is None else m
+    n = draw(st.integers(1, 4)) if n is None else n
     sorts = draw(st.lists(st.booleans(), min_size=1, max_size=14))
     bld = StructureBuilder(StructParams(m, n))
     ids = [bld.add_point() if is_point else bld.add_line() for is_point in sorts]
@@ -147,10 +148,47 @@ def test_freeness_matches_reference_scan(s):
     assert is_kmn_free(s) == reference_is_kmn_free(s)
 
 
+@pytest.mark.parametrize("m, n", itertools.product(range(1, 5), repeat=2))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_decision_pass_matches_the_reference_on_either_side(m, n, data):
+    # unguarded, so grids occur; elements of degree below ``need`` are
+    # skipped as tops but may still be partners' neighbours
+    s = data.draw(unguarded_structures(m, n))
+    adj, free = s._adj, reference_is_kmn_free(s)[0]
+    on_points = core._has_grid(adj, s.points, m, n)
+    on_lines = core._has_grid(adj, s.lines, n, m)
+    assert on_points == on_lines == (not free)
+    assert is_kmn_free(s) == reference_is_kmn_free(s)
+
+
+@pytest.mark.parametrize("m, n", itertools.product(range(1, 5), repeat=2))
+def test_decision_pass_skips_tops_below_need(m, n):
+    # a point on n-1 lines and a line through m-1 points, no grid: every
+    # element has fewer neighbours than its side's ``need``; the full
+    # K_{m,n} on the same elements is found with either sort on top
+    s = build(m, n, points=[f"p{i}" for i in range(m)],
+              lines=[f"l{i}" for i in range(n)],
+              incidences=[("p0", f"l{i}") for i in range(n - 1)]
+              + [(f"p{i}", "l0") for i in range(1, m - 1)], guard=False)
+    adj = s._adj
+    assert not core._has_grid(adj, s.points, m, n)
+    assert not core._has_grid(adj, s.lines, n, m)
+    assert is_kmn_free(s) == reference_is_kmn_free(s) == (True, None)
+    full = build(m, n, points=[f"p{i}" for i in range(m)],
+                 lines=[f"l{i}" for i in range(n)],
+                 incidences=list(itertools.product(
+                     [f"p{i}" for i in range(m)], [f"l{i}" for i in range(n)])),
+                 guard=False)
+    assert core._has_grid(full._adj, full.points, m, n)
+    assert core._has_grid(full._adj, full.lines, n, m)
+    assert is_kmn_free(full) == reference_is_kmn_free(full)
+
+
 def point_side_structure(seed):
     """Few long lines and many points of low degree, ids interleaved and
-    incidences added unguarded: the point side has the fewer subsets on
-    most seeds, and grids occur."""
+    incidences added unguarded: the lines are on top on most seeds, and
+    grids occur."""
     rng = random.Random(seed)
     m, n = rng.randint(1, 4), rng.randint(1, 4)
     sorts = [rng.random() < 0.75 for _ in range(rng.randint(1, 20))]
@@ -163,17 +201,26 @@ def point_side_structure(seed):
     return bld.build()
 
 
+def pass_costs(s):
+    """The decision pass's partner counts on each side: sum_p (deg p)^2
+    with the lines on top, sum_l (deg l)^2 with the points on top."""
+    adj = s._adj
+    return (sum(len(adj[p]) ** 2 for p in s.points),
+            sum(len(adj[l]) ** 2 for l in s.lines))
+
+
 def side_subsets(s):
-    """The subsets each side's scan covers: n-sets of lines through each
-    point, m-sets of points on each line."""
+    """The subsets each side covers: n-sets of lines through each point
+    (the lines on top), m-sets of points on each line (the points on
+    top)."""
     m, n, adj = s.params.m, s.params.n, s._adj
     return (sum(math.comb(len(adj[p]), n) for p in s.points),
             sum(math.comb(len(adj[l]), m) for l in s.lines))
 
 
-def scans_point_side(s):
-    on_points, on_lines = side_subsets(s)
-    return on_points < on_lines
+def lines_on_top(s):
+    with_lines, with_points = pass_costs(s)
+    return with_lines < with_points
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -184,7 +231,7 @@ def test_freeness_matches_reference_scan_on_point_side_inputs(seed):
 
 
 def test_point_side_inputs_reach_both_verdicts_on_the_point_side():
-    shown = [s for s in map(point_side_structure, range(300)) if scans_point_side(s)]
+    shown = [s for s in map(point_side_structure, range(300)) if lines_on_top(s)]
     assert len(shown) >= 100
     assert {is_kmn_free(s)[0] for s in shown} == {True, False}
 
@@ -205,13 +252,18 @@ def test_scan_on_either_side_gives_one_verdict(s):
 
 
 def scanned_sides(monkeypatch, s):
-    """is_kmn_free(s) with the outer sort of each ``_scan`` it runs and the
-    number of ``_grid`` calls in all."""
-    sides, grids = [], [0]
-    scan, grid = core._scan, core._grid
+    """is_kmn_free(s) with the sort on top in each decision pass
+    ``_has_grid``, the outer sort of each ``_scan``, and the number of
+    ``_grid`` calls in all."""
+    tops, scans, grids = [], [], [0]
+    has_grid, scan, grid = core._has_grid, core._scan, core._grid
+
+    def counting_has_grid(adj, elems, k, need):
+        tops.append("points" if elems is s.points else "lines")
+        return has_grid(adj, elems, k, need)
 
     def counting_scan(adj, outer, k, need):
-        sides.append("points" if outer is s.points else "lines")
+        scans.append("points" if outer is s.points else "lines")
         return scan(adj, outer, k, need)
 
     def counting_grid(*args):
@@ -219,42 +271,50 @@ def scanned_sides(monkeypatch, s):
         return grid(*args)
 
     with monkeypatch.context() as patch:
+        patch.setattr(core, "_has_grid", counting_has_grid)
         patch.setattr(core, "_scan", counting_scan)
         patch.setattr(core, "_grid", counting_grid)
         verdict = is_kmn_free(s)
-    return verdict, sides, grids[0]
+    return verdict, tops, scans, grids[0]
 
 
 def points_only(m, n, k):
     return build(m, n, points=[f"p{i}" for i in range(1, k + 1)])
 
 
-@pytest.mark.parametrize("make, side", [
-    pytest.param(lambda: gamma("01" * 1000).structure, "points",
+@pytest.mark.parametrize("make, top", [
+    pytest.param(lambda: gamma("01" * 1000).structure, "lines",
                  id="gamma 2000 bits"),
     pytest.param(lambda: completion.free_completion(
-        points_only(3, 4, 5), 2).final.structure, "points", id="(3,4) stage 2"),
+        points_only(3, 4, 5), 2).final.structure, "lines", id="(3,4) stage 2"),
     pytest.param(lambda: completion.free_completion(
-        points_only(2, 2, 4), 7).final.structure, "lines", id="(2,2) stage 7"),
+        points_only(2, 2, 4), 7).final.structure, "points", id="(2,2) stage 7"),
 ])
 def test_free_inputs_are_scanned_once_on_the_side_with_fewer_subsets(
-        monkeypatch, make, side):
+        monkeypatch, make, top):
+    # one decision pass, on the side with the smaller partner count (here
+    # also the side with fewer subsets), and no ``_scan``: a free input has
+    # no witness to find
     s = make()
-    verdict, sides, grids = scanned_sides(monkeypatch, s)
+    verdict, tops, scans, grids = scanned_sides(monkeypatch, s)
     assert verdict == (True, None)
-    assert sides == [side]
-    assert grids <= min(side_subsets(s))
+    assert tops == [top] and scans == []
+    assert lines_on_top(s) == (top == "lines")
+    with_lines, with_points = side_subsets(s)
+    assert (with_lines < with_points) == (top == "lines")
+    assert grids <= min(with_lines, with_points)
 
 
 def test_a_grid_found_on_the_point_side_is_reported_by_the_line_scan(monkeypatch):
-    # two long lines sharing points 0 and 5: a K_{2,2} whose line-scan
-    # witness is the colex-first pair on the first line
+    # two long lines sharing points 0 and 5: a K_{2,2} that the decision
+    # pass finds with the lines on top; the line scan, run once on that
+    # hit, reports the colex-first pair on the first line
     s = build(2, 2, points=[f"p{i}" for i in range(8)], lines=("u", "v"),
               incidences=[(f"p{i}", "u") for i in range(8)]
               + [("p0", "v"), ("p5", "v")], guard=False)
-    assert scans_point_side(s)
-    verdict, sides, _ = scanned_sides(monkeypatch, s)
-    assert sides == ["points", "lines"]
+    assert lines_on_top(s)
+    verdict, tops, scans, _ = scanned_sides(monkeypatch, s)
+    assert tops == ["lines"] and scans == ["lines"]
     assert verdict == reference_is_kmn_free(s)
     assert verdict[1].points == {s.by_name("p0"), s.by_name("p5")}
 
