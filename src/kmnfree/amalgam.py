@@ -21,6 +21,7 @@ Four constructions live here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -510,7 +511,7 @@ def pattern_consistent(
     the stage-``stage_budget`` closure A_T of the base elements by the quotient
     image of the variable pool.  A candidate is refuted if it demands an
     incidence between two closure elements that the closure lacks, if its
-    new incidences complete a K_{m,n} (the builder's guard refutes it), or
+    new incidences complete a K_{m,n} (``completion_witness`` finds it), or
     if some instance's induced image misses the diagram (exact mode);
     refutations are sound at any stage.  A surviving candidate certifies
     CONSISTENT only when the closure converged (then the K-free extension
@@ -530,7 +531,10 @@ def pattern_consistent(
     run as soon as a block's target decides them, and a refuted partial
     assignment adds every assignment below it to the count at once.  So the
     budget bounds the space searched, not the time spent in ``evaluate``,
-    which copies the ground for each assignment that passes those checks.
+    which adds the fresh elements and incidences of each assignment that
+    passes those checks to one scratch copy of the ground, and takes them
+    out again.  The assignments of one partition are searched depth first
+    over an explicit stack, so no number of blocks hits the recursion limit.
 
     A_T is the id prefix ``range(len(A_T))`` of the workspace, so the ground
     induced on it keeps closure element ids, which serve as candidate ids.
@@ -543,7 +547,7 @@ def pattern_consistent(
     The ground is free (the workspace's base passed ``_require_free``, and
     its spawns cannot complete a grid: see ``completion.complete_step``), so
     any grid of a candidate holds one of its new incidences, and the
-    guarded add of the last of them finds it.
+    ``completion_witness`` check before the last of them finds it.
     """
     _require_budgets(stage_budget, candidate_budget, element_cap)
     dg = pattern.diagram
@@ -654,33 +658,41 @@ def pattern_consistent(
                 to_block[max(pi, li)].append(min(pi, li))
         return list(zip(avoid, to_base, to_block))
 
+    scratch = StructureBuilder.from_structure(ground)
+
     def evaluate(blocks, chosen) -> bool:
         """True if the candidate for an assignment that passed the cheap
-        checks, a copy of the ground given its new incidences by guarded
-        adds, is K-free and, in exact mode, induces the diagram."""
-        b = StructureBuilder.from_structure(ground)
+        checks is K-free and, in exact mode, induces the diagram.  The
+        candidate is ``scratch`` given the assignment's fresh elements and
+        new incidences, each incidence refused if ``completion_witness``
+        finds the grid it would complete.  ``plan`` demands of the ground
+        every incidence between closure elements, so each add has a fresh
+        end, and dropping the fresh elements undoes them all."""
         placed = {}
-        for blk, eid in zip(blocks, chosen):
-            if eid is None:
-                eid = b.add_point() if token_sort[blk[0]] is Sort.POINT else b.add_line()
-            for tok in blk:
-                placed[tok] = eid
-
-        def image(t):
-            return placed[t] if isinstance(t, tuple) else t
-
         try:
+            for blk, eid in zip(blocks, chosen):
+                if eid is None:
+                    point = token_sort[blk[0]] is Sort.POINT
+                    eid = scratch.add_point() if point else scratch.add_line()
+                for tok in blk:
+                    placed[tok] = eid
+            image = placed.get  # image(t, t): tokens are tuples, closure ids ints
             for ptok, ltok in required:
-                b.add_incidence(image(ptok), image(ltok))
-        except FreenessViolationError:
-            return False
-        return not (pattern.exact and any(
-            embedding_fault(dg, b, dict(zip(dg.elements(), map(image, elems))))
-            for elems in inst_elems))
+                p, l = image(ptok, ptok), image(ltok, ltok)
+                if l not in scratch.neighbors(p):
+                    if scratch.completion_witness(p, l) is not None:
+                        return False
+                    scratch.add_incidence(p, l, guard=False)
+            for elems in inst_elems if pattern.exact else ():
+                mapping = {v: image(t, t) for v, t in zip(dg.elements(), elems)}
+                if embedding_fault(dg, scratch, mapping):
+                    return False
+            return True
+        finally:
+            scratch._truncate(len(ground))
 
-    def target_options(blk):
-        point = token_sort[blk[0]] is Sort.POINT
-        return (None,) + (ground.points if point else ground.lines)
+    targets = {Sort.POINT: (None,) + ground.points, Sort.LINE: (None,) + ground.lines}
+    fills = functools.cache(_injective_fills)  # per call: none carried across calls
 
     for blocks in _quotients(pts, lns):
         # point blocks come first; per sort, an assignment is an injective
@@ -696,40 +708,56 @@ def pattern_consistent(
             total = 1
             for lo, hi, n_targets in spans:
                 free = n_targets - sum(t is not None for t in chosen[lo:hi])
-                total *= _injective_fills(max(hi - max(lo, i), 0), free)
+                total *= fills(max(hi - max(lo, i), 0), free)
             return total
 
-        checks = plan(blocks)
-
-        def rec(i, chosen, used):
-            nonlocal survivor
-            if i == len(blocks):
+        def search():
+            """The targets of the first surviving assignment, or None,
+            counting every assignment before it.  Depth first over one
+            explicit stack of target iterators, one per block whose target
+            is being chosen; ``chosen`` holds those of the blocks below."""
+            if not blocks:
                 count(1)
-                if evaluate(blocks, chosen):
-                    survivor = QuotientAssignment(tuple(blocks), tuple(chosen))
-                return
-            avoid, to_base, to_block = checks[i]
-            for tgt in target_options(blocks[i]):
+                return () if evaluate(blocks, []) else None
+            options = [targets[token_sort[blk[0]]] for blk in blocks]
+            chosen, todo = [], [iter(options[0])]
+            while todo:
+                tgt = next(todo[-1], todo)
+                if tgt is todo:  # this block's targets are all tried
+                    todo.pop()
+                    if chosen:
+                        chosen.pop()
+                    continue
+                i = len(chosen)
                 if tgt is not None:
-                    if tgt in used:
+                    if tgt in chosen:
                         continue
+                    avoid, to_base, to_block = checks[i]
                     nb = ground.neighbors(tgt)
                     if (
                         tgt in avoid
                         or not to_base <= nb
-                        or any(chosen[j] is not None and chosen[j] not in nb for j in to_block)
+                        or any(chosen[j] is not None and chosen[j] not in nb
+                               for j in to_block)
                     ):
                         count(leaves(i + 1, chosen + [tgt]))
                         continue
-                rec(i + 1, chosen + [tgt], used | ({tgt} if tgt is not None else set()))
-                if survivor is not None:
-                    return  # later siblings come after the survivor: not counted
+                chosen.append(tgt)
+                if i + 1 < len(blocks):
+                    todo.append(iter(options[i + 1]))
+                    continue
+                count(1)
+                if evaluate(blocks, chosen):
+                    return tuple(chosen)  # later siblings come after it: not counted
+                chosen.pop()
+            return None
 
+        checks = plan(blocks)
         try:
             if checks is None:
                 count(leaves(0, []))
-            else:
-                rec(0, [], set())
+                continue
+            found = search()
         except BudgetError:
             return PatternVerdict(
                 PatternStatus.UNKNOWN,
@@ -739,7 +767,8 @@ def pattern_consistent(
                 candidates,
                 f"candidate budget {candidate_budget} exhausted",
             )
-        if survivor is not None:
+        if found is not None:
+            survivor = QuotientAssignment(tuple(blocks), found)
             break
 
     if survivor is not None:

@@ -185,13 +185,13 @@ def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
     Fresh elements take their spawners as adjacency and the names
     ``StructureBuilder`` would give: ``l{e}`` and ``p{e}``, named one by one
     only when one of those is a name of the stage; untouched elements keep
-    their sets."""
+    their sets.  The point and line tuples are the stage's, extended by the
+    fresh ids, so they are not found again by a pass over every element."""
     s, k1 = stage.structure, stage.k + 1
     spawners = defs.point_sets + defs.line_sets
     sorts = (Sort.LINE,) * len(defs.point_sets) + (Sort.POINT,) * len(defs.line_sets)
-    first, cut = len(s), len(s) + len(defs.point_sets)
-    names = ([f"l{e}" for e in range(first, cut)]
-             + [f"p{e}" for e in range(cut, first + len(spawners))])
+    first, cut, end = len(s), len(s) + len(defs.point_sets), len(s) + len(spawners)
+    names = [f"l{e}" for e in range(first, cut)] + [f"p{e}" for e in range(cut, end)]
     if not s._ids.keys().isdisjoint(names):
         names = [_default_name(srt, e, s._ids) for e, srt in zip(count(first), sorts)]
     gained = defaultdict(list)
@@ -202,9 +202,11 @@ def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
     for q, new in gained.items():
         # copied as build() copies: a union leaves a sparser table, slower to scan
         adj[q] = frozenset({*adj[q], *new})
-    nxt = (s._sorts + sorts, s._names + tuple(names), tuple(adj) + spawners)
-    sizes = stage.sizes + (len(s) + len(spawners),)
-    return CompletionStage(IncidenceStructure(s.params, *nxt), k1, sizes)
+    nxt = IncidenceStructure(s.params, s._sorts + sorts, s._names + tuple(names),
+                             tuple(adj) + spawners)
+    nxt._points = s.points + tuple(range(cut, end))
+    nxt._lines = s.lines + tuple(range(first, cut))
+    return CompletionStage(nxt, k1, stage.sizes + (end,))
 
 
 @dataclass(frozen=True)

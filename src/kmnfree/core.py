@@ -170,7 +170,8 @@ class IncidenceStructure(_Store):
 
     Element ids are 0..N-1 in creation order.  Adjacency is stored per
     element as a frozenset of opposite-sort ids.  The point and line tuples
-    are computed on first use and kept.
+    are computed on first use and kept; ``completion._step`` sets them from
+    the previous stage's instead.
     """
 
     __slots__ = (
@@ -189,7 +190,7 @@ class IncidenceStructure(_Store):
         self._sorts = sorts
         self._names = names
         self._adj = adj
-        self._ids = {name: e for e, name in enumerate(names)}
+        self._ids = dict(zip(names, range(len(names))))
         self._hash = None
         self._points = None
         self._lines = None
@@ -299,9 +300,11 @@ class StructureBuilder(_Store):
     constructions in ``gamma`` (free by the proof in each docstring), and
     document parsing (a document may describe a non-free structure).
     ``completion.LazyCompletion`` is a builder whose spawns take the guarded
-    add, and so do the candidates of ``amalgam.pattern_consistent``, each a
-    copy of a free ground.  Completion steps, found planes and
-    ``induced`` do not use the builder: they write their result directly.
+    add.  ``amalgam.pattern_consistent`` builds each candidate in one
+    scratch copy of a free ground: it asks ``completion_witness`` before
+    each unguarded add, and ``_truncate`` takes the candidate's fresh
+    elements back out.  Completion steps, found planes and ``induced`` do
+    not use the builder: they write their result directly.
     """
 
     def __init__(self, params: StructParams):
@@ -370,6 +373,15 @@ class StructureBuilder(_Store):
                 raise FreenessViolationError(w)
         self._adj[p].add(l)
         self._adj[l].add(p)
+
+    def _truncate(self, size: int) -> None:
+        """Drop the elements from id ``size`` on, with all their incidences."""
+        adj = self._adj
+        for e in range(size, len(adj)):
+            for x in adj[e]:
+                adj[x].discard(e)
+            del self._ids[self._names[e]]
+        del self._sorts[size:], self._names[size:], adj[size:]
 
     def build(self) -> IncidenceStructure:
         return IncidenceStructure(

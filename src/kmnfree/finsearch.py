@@ -13,9 +13,12 @@ possible point set.  The covered pairs are one bit row per point (bit y
 of row x is set when the pair xy lies on a placed line), so finding the
 least uncovered pair, the points free of it and each prefix test are a
 few integer operations, and the rows take O(v) space where a table of
-pair flags took v^2.  The nodes and their order are those of the search
-on such a table, which ``tests/test_search_work.py`` keeps as the
-reference.
+pair flags took v^2.  The candidates through one pair come from a single
+loop over an explicit stack of pool positions and point masks, with no
+generator frame per point chosen.  Nodes are counted as before, each line
+placed and each prefix test one node, so the nodes and their order are
+those of the search on such a table, which ``tests/test_search_work.py``
+keeps as the reference.
 
 Embedding queries reuse found planes through a cache keyed by order, and
 search with the one backtracking matcher of ``core``.  The first element
@@ -160,31 +163,53 @@ class _PlaneSearch:
             covered[x] &= ~mask
         self.lines.pop()
 
-    def _free_subsets(self, pool: Sequence[int], size: int):
-        """The ``size``-subsets of ``pool`` with no covered pair inside, in
-        lexicographic order: ``combinations(pool, size)`` filtered by the
-        pair test, with each prefix tested once for all its extensions.
-        Every prefix test is a node."""
-        covered = self.covered
-        chosen: List[int] = []
-        stop = len(pool) - size + 1
+    def _free_subsets(self, head: Tuple[int, ...], pool: Sequence[int], size: int):
+        """``head`` followed by each ``size``-subset of ``pool`` with no
+        covered pair inside, in lexicographic order: ``combinations(pool,
+        size)`` filtered by the pair test, with each prefix tested once for
+        all its extensions.  Every prefix test is a node.
 
-        def extend(start: int, mask: int, depth: int):
-            if depth == size:
-                yield tuple(chosen)
-                return
-            for i in range(start, stop + depth):
-                if self.nodes >= self.budget:
+        One loop over an explicit stack (Knuth, TAOCP 4B, 7.2.2, Algorithm
+        B): per level, the next pool position to try and the mask of the
+        points chosen below it; the chosen points follow ``head`` in one
+        list.  The node count is a local, written back to ``self.nodes``
+        at each yield, at the end and before ``_Stop``, and read again
+        after a yield, since ``_dfs`` counts the lines it places there.
+        """
+        chosen = list(head) + [0] * size
+        if not size:
+            yield tuple(chosen)
+            return
+        covered, budget, nodes = self.covered, self.budget, self.nodes
+        last = len(chosen) - 1
+        base = len(pool) - last  # the level choosing chosen[at] stops at base + at
+        saved: List[Tuple[int, int]] = []  # (position, mask) of the levels below
+        i, mask, at = 0, 0, len(head)
+        while True:
+            if i < base + at:
+                if nodes >= budget:
+                    self.nodes = nodes
                     raise _Stop
-                self.nodes += 1
+                nodes += 1
                 p = pool[i]
+                i += 1
                 if covered[p] & mask:
                     continue
-                chosen.append(p)
-                yield from extend(i + 1, mask | 1 << p, depth + 1)
-                chosen.pop()
-
-        return extend(0, 0, 0)
+                chosen[at] = p
+                if at == last:
+                    self.nodes = nodes
+                    yield tuple(chosen)
+                    nodes = self.nodes
+                else:
+                    saved.append((i, mask))
+                    mask |= 1 << p
+                    at += 1
+            elif saved:
+                i, mask = saved.pop()
+                at -= 1
+            else:
+                self.nodes = nodes
+                return
 
     def _candidates(self):
         pair = self._least_uncovered()
@@ -197,7 +222,7 @@ class _PlaneSearch:
             low = free & -free
             pool.append(b + low.bit_length())
             free ^= low
-        return ((a, b) + rest for rest in self._free_subsets(pool, self.k - 2))
+        return self._free_subsets(pair, pool, self.k - 2)
 
     def run(self, limit: Optional[int] = None) -> None:
         """Search until ``limit`` solutions are found (all, for None) or the

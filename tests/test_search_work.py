@@ -44,7 +44,7 @@ from kmnfree import amalgam
 from kmnfree.amalgam import PatternVerdict, QuotientAssignment, _quotients
 from kmnfree.completion import LazyCompletion
 from kmnfree.core import CompletenessReport, common_neighbors, colex_combinations
-from kmnfree.finsearch import _PlaneSearch, _induced_embedding, clear_plane_cache
+from kmnfree.finsearch import _PlaneSearch, _Stop, _induced_embedding, clear_plane_cache
 
 from conftest import build, quadrangle_structure, random_free_structure
 
@@ -175,9 +175,9 @@ def test_tp2_searches_at_n_3_are_pinned(m, n, status, candidates):
 
 
 def test_pattern_candidates_take_the_guard_not_a_scan(monkeypatch):
-    # each candidate is refuted by the builder's guard on its copy of the
-    # ground: no candidate is built or scanned, and the one build is the
-    # workspace snapshot
+    # each candidate is refuted by the grid check before an add to the one
+    # scratch copy of the ground: no candidate is built or scanned, and the
+    # one build is the workspace snapshot
     case = tp2_case(2, 2, 3)
     scans, builds = [], []
     monkeypatch.setattr(amalgam, "is_kmn_free",
@@ -188,6 +188,16 @@ def test_pattern_candidates_take_the_guard_not_a_scan(monkeypatch):
     v = pattern_consistent(*case, stage_budget=1)
     assert (v.status, v.candidates) == (PatternStatus.INCONSISTENT, 297_228)
     assert scans == [] and len(builds) == 1
+
+
+def test_pattern_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 600 instances of one row pool 1,202 occurrences: the first layer's
+    # partition has a block per occurrence, a level of the search each
+    base, pattern, rows = tp2_case(2, 2, 1)
+    v = pattern_consistent(base, pattern, rows * 600, stage_budget=1,
+                           candidate_budget=1000)
+    assert (v.status, v.candidates) == (PatternStatus.UNKNOWN, 1_001)
+    assert v.detail == "candidate budget 1000 exhausted"
 
 
 def test_pattern_search_memory_is_bounded_by_the_layer_it_reaches():
@@ -453,6 +463,25 @@ def test_pattern_survivor_followed_by_refuted_sibling():
     assert (full.status, full.candidates) == (PatternStatus.CONSISTENT, 5_202)
 
 
+def test_a_refused_candidate_leaves_no_incidence_behind():
+    # (3,2): p lies on l0 and l1, and the shared points X and Y must lie on
+    # each instance's line, l1 and then l0.  Both fresh, they put three
+    # points on both lines: the fourth incidence completes a K_{3,2} and
+    # is refused after three were added.  The next candidate, Y on p, puts
+    # two points on both lines; it survives only if those three are gone.
+    base = build(3, 2, points=("p",), lines=("l0", "l1"),
+                 incidences=(("p", "l0"), ("p", "l1")))
+    dg = build(3, 2, points=("X", "Y"), lines=("L",),
+               incidences=(("X", "L"), ("Y", "L")))
+    x, y, line = (dg.by_name(nm) for nm in ("X", "Y", "L"))
+    pattern = ExistentialPattern(dg, (x, y), (line,), ())
+    rows = [(base.by_name("l1"),), (base.by_name("l0"),)]
+    full = assert_pattern_budgets_agree(base, pattern, rows, 0)
+    assert (full.status, full.candidates) == (PatternStatus.UNKNOWN, 2)
+    assert full.quotient == QuotientAssignment(
+        ((("s", x),), (("s", y),)), (None, base.by_name("p")))
+
+
 # ---------------------------------------------------------------------------
 # _induced_embedding against the pairwise scan
 
@@ -655,12 +684,44 @@ def test_plane_search_matches_filtered_reference(order):
     assert find_projective_plane(order).plane == b.build()
 
 
-@pytest.mark.parametrize("order,limit,budget", [(2, None, 10**7), (3, 50, 10**7),
-                                                (3, None, 200), (4, 5, 10**7)])
+class FirstBacktrack(_PlaneSearch):
+    """Stops at its first backtrack, when the search first takes a line
+    back and resumes an enumeration."""
+
+    def _unplace(self, line):
+        raise _Stop
+
+
+# nodes at the first backtrack; order 4's first plane needs none, so its
+# first comes after that plane, when the search enumerates on
+FIRST_BACKTRACK = {4: 112, 5: 325}
+
+
+def test_first_backtracks_are_pinned():
+    for order, nodes in FIRST_BACKTRACK.items():
+        search = FirstBacktrack(order, 10**7)
+        search.run()
+        assert search.nodes == nodes
+
+
+# budgets that run out inside a candidate enumeration: within 3 nodes of the
+# first backtrack, and at order 5 six drawn from v = 31 up to its first plane
+AROUND = [(o, first + d) for o, first in FIRST_BACKTRACK.items() for d in range(-3, 4)]
+DRAWN = [(5, b) for b in random.Random(5).sample(range(31, PLANE_NODES[5]), 6)]
+INSIDE_ENUMERATIONS = [(o, limit, b) for limit in (1, None) for o, b in AROUND + DRAWN]
+
+
+@pytest.mark.parametrize("order,limit,budget", [
+    (2, None, 10**7), (3, 50, 10**7), (3, None, 200), (4, 5, 10**7),
+    (6, None, 20_000), (6, None, 100_000)] + INSIDE_ENUMERATIONS)
 def test_plane_enumeration_matches_filtered_reference(order, limit, budget):
-    # both count every prefix test, so at one budget they stop at one node
+    # both count every prefix test, so at one budget they stop at one node,
+    # also when it runs out inside a candidate enumeration
     got = run_search(CountedPlaneSearch, order, limit, budget)
     assert got == run_search(FilteredPlaneSearch, order, limit, budget)
+    solutions, exhausted, _, nodes = got
+    if not exhausted and (limit is None or len(solutions) < limit):
+        assert nodes == budget
 
 
 @pytest.mark.parametrize("order", range(1, 9))
