@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 import kmnfree
 import kmnfree.cli as cli_module
 from kmnfree import (
+    BudgetError,
+    FreenessViolationError,
     StructParams,
     StructureBuilder,
     emit_structure,
@@ -280,16 +282,75 @@ def test_construction_documents_are_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def reference_dot(s):
+    """Reference copy of the DOT writer as it was before it quoted each name
+    once: one formatted line per element and per incidence."""
+    def quote(name):
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    out = ["graph incidence {"]
+    pts, lns = sorted(s.points), sorted(s.lines)
+    if pts:
+        out.append("  node [shape=ellipse];")
+        out.extend(f"  {quote(s.name(p))};" for p in pts)
+    if lns:
+        out.append("  node [shape=box];")
+        out.extend(f"  {quote(s.name(l))};" for l in lns)
+    for p in pts:
+        for l in sorted(s.neighbors(p)):
+            out.append(f"  {quote(s.name(p))} -- {quote(s.name(l))};")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
 def test_completion_dot_output_is_unchanged(capsys, tmp_path):
     f = tmp_path / "q.json"
     f.write_text(emit_structure(quadrangle_structure()))
-    code, text, _ = run(capsys, "complete", str(f), "--stages", "4",
-                        "--emit", "dot")
-    assert code == 0
-    assert text == emit_structure(
-        free_completion(quadrangle_structure(), 4).final.structure, fmt="dot")
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5af3e6924d50ccb655ce67b3d76c4af49cabe91777643611ec8a7536b03446c5")
+    for stages, digest in [
+        (4, "5af3e6924d50ccb655ce67b3d76c4af49cabe91777643611ec8a7536b03446c5"),
+        (7, "2e3cf5eac657ea79c101b7e5eb7848295c9ba931b8194542239dec1f2f860636"),
+    ]:
+        code, text, _ = run(capsys, "complete", str(f), "--stages", str(stages),
+                            "--emit", "dot")
+        assert code == 0
+        assert text == reference_dot(
+            free_completion(quadrangle_structure(), stages).final.structure)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# names that the completion's own spawns take, and ones that push them aside
+SPAWN_LIKE_NAMES = ["p1", "p2", "p5", "l1", "l3", "_p5", "_l1", 'a"0', "b\\1",
+                    "\u00e9"]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_completion_documents_match_the_references_on_random_seeds(data):
+    # random free seeds with base incidences, so that a base element can
+    # have younger base neighbours, staged past their fixpoint or not
+    m, n = data.draw(st.sampled_from([2, 3])), data.draw(st.sampled_from([2, 3]))
+    names = data.draw(st.lists(st.sampled_from(SPAWN_LIKE_NAMES), unique=True,
+                               min_size=1, max_size=7))
+    n_points = data.draw(st.integers(0, len(names)))
+    bld = StructureBuilder(StructParams(m, n))
+    pts = [bld.add_point(nm) for nm in names[:n_points]]
+    lns = [bld.add_line(nm) for nm in names[n_points:]]
+    if pts and lns:
+        for p, l in data.draw(st.lists(st.tuples(st.sampled_from(pts),
+                                                 st.sampled_from(lns)))):
+            try:
+                bld.add_incidence(p, l)
+            except FreenessViolationError:
+                pass
+    try:
+        final = free_completion(bld.build(), data.draw(st.integers(0, 4)),
+                                element_cap=400).final
+    except BudgetError:
+        return
+    s = final.structure
+    prov = reference_completion_provenance(s, final.provenance)
+    assert _document_text(s, sizes=final.sizes) == json_dumps_document(s, prov)
+    assert emit_structure(s, "dot") == reference_dot(s)
 
 
 @given(st.data())
