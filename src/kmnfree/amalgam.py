@@ -526,15 +526,21 @@ def pattern_consistent(
     blocks), then by blocks, one merge layer built at a time.  ``candidates``
     counts the assignments of the searched space in search order, up to and
     including the survivor, or up to the one that exhausts ``candidate_budget``
-    (then it is ``candidate_budget + 1``).  The cheap checks (incidences
-    demanded between closure elements, distinct images within an instance)
-    run as soon as a block's target decides them, and a refuted partial
-    assignment adds every assignment below it to the count at once.  So the
-    budget bounds the space searched, not the time spent in ``evaluate``,
-    which adds the fresh elements and incidences of each assignment that
-    passes those checks to one scratch copy of the ground, and takes them
-    out again.  The assignments of one partition are searched depth first
-    over an explicit stack, so no number of blocks hits the recursion limit.
+    (then it is ``candidate_budget + 1``).  The assignments of one
+    partition are searched depth first over an explicit stack, so no number
+    of blocks hits the recursion limit, and the candidates are built in one
+    scratch copy of the ground a level of that stack at a time.  When a
+    block takes its target, it adds its fresh element, if it has one, and
+    each required incidence it decides (both ends are base ids or blocks up
+    to it): one between closure elements must already be in the ground,
+    one with a fresh end is added after the ``completion_witness`` check.
+    Backtracking takes out exactly what its level added.  A refutation at
+    a block (a target that an instance's parameter holds, a missing
+    incidence or a grid) adds every assignment below it to the count at
+    once: each of them holds the same incidences, so the per-assignment
+    search refutes each of them too, and the count, survivor and verdict
+    are that search's.  So the budget bounds the space searched, not the
+    time spent; only the exact-mode check runs once per assignment.
 
     A_T is the id prefix ``range(len(A_T))`` of the workspace, so the ground
     induced on it keeps closure element ids, which serve as candidate ids.
@@ -586,32 +592,24 @@ def pattern_consistent(
     pool = [("s", v) for v in pattern.shared_vars]
     for j in range(len(instances)):
         pool += [("w", j, v) for v in pattern.witness_vars]
-    token_sort = {}
-    for tok in pool:
-        token_sort[tok] = dg.sort(tok[1] if tok[0] == "s" else tok[2])
+    token_sort = {tok: dg.sort(tok[-1]) for tok in pool}
     pts = [t for t in pool if token_sort[t] is Sort.POINT]
     lns = [t for t in pool if token_sort[t] is Sort.LINE]
 
-    # required incidences per instance as (point token-or-id, line token-or-id)
     def resolve_token(j, v):
         if v in pattern.shared_vars:
             return ("s", v)
         if v in pattern.witness_vars:
             return ("w", j, v)
-        k = pattern.param_vars.index(v)
-        return instances[j][k]
+        return instances[j][pattern.param_vars.index(v)]
 
-    inst_elems = []  # per instance: list of token-or-id for every diagram var
-    required = []  # (ptok, ltok) pairs across all instances, deduplicated
-    seen_req = set()
-    for j in range(len(instances)):
-        elems = [resolve_token(j, v) for v in sorted(dg.elements())]
-        inst_elems.append(elems)
-        for p, l in dg.incidences():
-            pair = (resolve_token(j, p), resolve_token(j, l))
-            if pair not in seen_req:
-                seen_req.add(pair)
-                required.append(pair)
+    # per instance, the token or base id of each diagram variable; the
+    # required incidences of all instances as (point, line) tokens or ids,
+    # deduplicated in order
+    inst_elems = [[resolve_token(j, v) for v in dg.elements()] for j in range(len(instances))]
+    required = list(dict.fromkeys(
+        (elems[p], elems[l]) for elems in inst_elems for p, l in dg.incidences()
+    ))
 
     candidates = 0
     survivor = None
@@ -626,18 +624,16 @@ def pattern_consistent(
             raise BudgetError("candidate budget exhausted")
 
     def plan(blocks):
-        """The cheap checks of one partition, each at the block whose target
+        """The checks of one partition, each at the block whose target
         decides it.  None if they refute every assignment; else, per block,
-        (avoid, to_base, to_block): the ids its target must avoid (parameters
-        of an instance with an occurrence in the block), the base ids it must
-        be incident with, and the earlier blocks whose targets it must be
-        incident with.  Two occurrences in distinct blocks always get
-        distinct images (targets are injective, fresh elements new), and
-        incidences with a fresh element are never demanded of the closure."""
+        (avoid, ends): the ids its target must avoid (parameters of an
+        instance with an occurrence in the block), and the other ends of the
+        required incidences it decides, base ids or tokens of earlier
+        blocks.  Two occurrences in distinct blocks always get distinct
+        images (targets are injective, fresh elements new)."""
         block_of = {tok: i for i, blk in enumerate(blocks) for tok in blk}
         avoid = [set() for _ in blocks]
-        to_base = [set() for _ in blocks]
-        to_block = [[] for _ in blocks]
+        ends = [[] for _ in blocks]
         for elems in inst_elems:
             ids = [t for t in elems if t not in block_of]
             idx = [block_of[t] for t in elems if t in block_of]
@@ -646,50 +642,54 @@ def pattern_consistent(
             for i in idx:
                 avoid[i].update(ids)
         for ptok, ltok in required:
-            pi, li = block_of.get(ptok), block_of.get(ltok)
-            if pi is None and li is None:
+            pi, li = block_of.get(ptok, -1), block_of.get(ltok, -1)
+            if pi == li:  # two base ids
                 if not ground.incident(ptok, ltok):
                     return None
-            elif pi is None:
-                to_base[li].add(ptok)
-            elif li is None:
-                to_base[pi].add(ltok)
+            elif pi > li:
+                ends[pi].append(ltok)
             else:
-                to_block[max(pi, li)].append(min(pi, li))
-        return list(zip(avoid, to_base, to_block))
+                ends[li].append(ptok)
+        return list(zip(avoid, ends))
 
     scratch = StructureBuilder.from_structure(ground)
+    size = len(ground)
 
-    def evaluate(blocks, chosen) -> bool:
-        """True if the candidate for an assignment that passed the cheap
-        checks is K-free and, in exact mode, induces the diagram.  The
-        candidate is ``scratch`` given the assignment's fresh elements and
-        new incidences, each incidence refused if ``completion_witness``
-        finds the grid it would complete.  ``plan`` demands of the ground
-        every incidence between closure elements, so each add has a fresh
-        end, and dropping the fresh elements undoes them all."""
-        placed = {}
-        try:
-            for blk, eid in zip(blocks, chosen):
-                if eid is None:
-                    point = token_sort[blk[0]] is Sort.POINT
-                    eid = scratch.add_point() if point else scratch.add_line()
-                for tok in blk:
-                    placed[tok] = eid
-            image = placed.get  # image(t, t): tokens are tuples, closure ids ints
-            for ptok, ltok in required:
-                p, l = image(ptok, ptok), image(ltok, ltok)
-                if l not in scratch.neighbors(p):
-                    if scratch.completion_witness(p, l) is not None:
-                        return False
-                    scratch.add_incidence(p, l, guard=False)
-            for elems in inst_elems if pattern.exact else ():
-                mapping = {v: image(t, t) for v, t in zip(dg.elements(), elems)}
-                if embedding_fault(dg, scratch, mapping):
-                    return False
-            return True
-        finally:
-            scratch._truncate(len(ground))
+    def place(blk, tgt, avoid, ends, image):
+        """Give block ``blk`` its image in ``scratch``, ``tgt`` or a fresh
+        element if None, and add the incidences the block decides.  The
+        pairs added, or None, with nothing left added, if the assignments
+        below are all refuted: a target in ``avoid``, an incidence between
+        closure elements that the ground lacks, or one that completes a
+        grid (``completion_witness`` is asked before each add)."""
+        point = token_sort[blk[0]] is Sort.POINT
+        e = tgt if tgt is not None else scratch.add_point() if point else scratch.add_line()
+        for tok in blk:
+            image[tok] = e
+        xs = [image.get(x, x) for x in ends]  # image(t, t): tokens are tuples, ids ints
+        if tgt is not None:
+            nb = ground.neighbors(tgt)
+            if tgt in avoid or any(x < size and x not in nb for x in xs):
+                return None
+        added = []
+        for x in xs:
+            p, l = (e, x) if point else (x, e)
+            if l in scratch.neighbors(p):
+                continue
+            if scratch.completion_witness(p, l) is not None:
+                scratch._truncate(len(scratch) - (tgt is None), added)
+                return None
+            scratch.add_incidence(p, l, guard=False)
+            added.append((p, l))
+        return added
+
+    def induces_diagram(image) -> bool:
+        """Outside exact mode True; in it, whether every instance's image in
+        ``scratch`` induces the diagram."""
+        return not pattern.exact or not any(
+            embedding_fault(dg, scratch, dict(enumerate(image.get(t, t) for t in elems)))
+            for elems in inst_elems
+        )
 
     targets = {Sort.POINT: (None,) + ground.points, Sort.LINE: (None,) + ground.lines}
     fills = functools.cache(_injective_fills)  # per call: none carried across calls
@@ -715,41 +715,36 @@ def pattern_consistent(
             """The targets of the first surviving assignment, or None,
             counting every assignment before it.  Depth first over one
             explicit stack of target iterators, one per block whose target
-            is being chosen; ``chosen`` holds those of the blocks below."""
+            is being chosen and an empty one below a leaf, so that each
+            level is undone in one place; ``chosen`` holds the targets of
+            the blocks below, ``added`` the pairs each of them added."""
             if not blocks:
                 count(1)
-                return () if evaluate(blocks, []) else None
-            options = [targets[token_sort[blk[0]]] for blk in blocks]
-            chosen, todo = [], [iter(options[0])]
+                return () if induces_diagram({}) else None
+            options = [targets[token_sort[blk[0]]] for blk in blocks] + [()]
+            image = {}
+            chosen, added, todo = [], [], [iter(options[0])]
             while todo:
                 tgt = next(todo[-1], todo)
                 if tgt is todo:  # this block's targets are all tried
                     todo.pop()
-                    if chosen:
-                        chosen.pop()
+                    if chosen:  # take out what the level below added
+                        scratch._truncate(len(scratch) - (chosen.pop() is None), added.pop())
                     continue
                 i = len(chosen)
-                if tgt is not None:
-                    if tgt in chosen:
-                        continue
-                    avoid, to_base, to_block = checks[i]
-                    nb = ground.neighbors(tgt)
-                    if (
-                        tgt in avoid
-                        or not to_base <= nb
-                        or any(chosen[j] is not None and chosen[j] not in nb
-                               for j in to_block)
-                    ):
-                        count(leaves(i + 1, chosen + [tgt]))
-                        continue
-                chosen.append(tgt)
-                if i + 1 < len(blocks):
-                    todo.append(iter(options[i + 1]))
+                if tgt is not None and tgt in chosen:
                     continue
-                count(1)
-                if evaluate(blocks, chosen):
-                    return tuple(chosen)  # later siblings come after it: not counted
-                chosen.pop()
+                new = place(blocks[i], tgt, *checks[i], image)
+                if new is None:
+                    count(leaves(i + 1, chosen + [tgt]))
+                    continue
+                chosen.append(tgt)
+                added.append(new)
+                if i + 1 == len(blocks):  # a leaf: no targets below it
+                    count(1)
+                    if induces_diagram(image):
+                        return tuple(chosen)  # later siblings come after it: not counted
+                todo.append(iter(options[i + 1]))
             return None
 
         checks = plan(blocks)

@@ -300,11 +300,12 @@ class StructureBuilder(_Store):
     constructions in ``gamma`` (free by the proof in each docstring), and
     document parsing (a document may describe a non-free structure).
     ``completion.LazyCompletion`` is a builder whose spawns take the guarded
-    add.  ``amalgam.pattern_consistent`` builds each candidate in one
-    scratch copy of a free ground: it asks ``completion_witness`` before
-    each unguarded add, and ``_truncate`` takes the candidate's fresh
-    elements back out.  Completion steps, found planes and ``induced`` do
-    not use the builder: they write their result directly.
+    add.  ``amalgam.pattern_consistent`` builds its candidates in one
+    scratch copy of a free ground, a level of its search at a time: it asks
+    ``completion_witness`` before each unguarded add, and on backtracking
+    ``_truncate`` takes out the level's incidences and fresh element.
+    Completion steps, found planes and ``induced`` do not use the builder:
+    they write their result directly.
     """
 
     def __init__(self, params: StructParams):
@@ -374,9 +375,13 @@ class StructureBuilder(_Store):
         self._adj[p].add(l)
         self._adj[l].add(p)
 
-    def _truncate(self, size: int) -> None:
-        """Drop the elements from id ``size`` on, with all their incidences."""
+    def _truncate(self, size: int, incidences=()) -> None:
+        """Drop ``incidences``, then the elements from id ``size`` on, with
+        all their incidences."""
         adj = self._adj
+        for p, l in incidences:
+            adj[p].discard(l)
+            adj[l].discard(p)
         for e in range(size, len(adj)):
             for x in adj[e]:
                 adj[x].discard(e)

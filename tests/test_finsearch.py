@@ -1,5 +1,6 @@
 """Finite plane search and embedding queries."""
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -24,11 +25,22 @@ from kmnfree.finsearch import _PlaneSearch, clear_plane_cache
 from conftest import build
 
 
+def pair_counts(s, elems, others):
+    """How many of ``others`` each pair of ``elems`` has in common."""
+    counts = dict.fromkeys(itertools.combinations(sorted(elems), 2), 0)
+    for x in others:
+        for pair in itertools.combinations(sorted(s.neighbors(x)), 2):
+            counts[pair] += 1
+    return counts
+
+
 def plane_invariants(s, order):
     assert len(s.points) == order * order + order + 1
     assert len(s.lines) == order * order + order + 1
     assert all(len(s.neighbors(l)) == order + 1 for l in s.lines)
-    assert satisfies_complete(s).passed
+    # complete: every two points on one line, every two lines through one point
+    assert set(pair_counts(s, s.points, s.lines).values()) == {1}
+    assert set(pair_counts(s, s.lines, s.points).values()) == {1}
     assert is_kmn_free(s)[0]
 
 
@@ -58,6 +70,23 @@ def test_order_2_solutions_unique_up_to_iso():
     first = planes[0]
     for p in planes[1:]:
         assert isomorphic_over(p, first, {})
+
+
+@pytest.mark.parametrize("order", [4, 5, 8])
+def test_found_planes_are_complete(order):
+    # find_projective_plane makes no completeness check of its own; orders
+    # 1-3 are checked above
+    r = find_projective_plane(order)
+    assert r.status is SearchStatus.FOUND
+    plane_invariants(r.plane, order)
+
+
+@pytest.mark.parametrize("order, limit", [(2, None), (3, 1000)])
+def test_enumerated_planes_are_complete(order, limit):
+    planes, _, _ = enumerate_projective_planes(order, limit=limit)
+    assert len(planes) == (limit or 30)
+    for s in planes:
+        plane_invariants(s, order)
 
 
 def test_enumeration_respects_limit():

@@ -160,6 +160,31 @@ def test_tp2_candidate_counts_are_pinned():
     assert all(t is None for t in v.quotient.targets)
 
 
+@pytest.mark.parametrize("instances, candidates", [(4, 183_278_464),
+                                                   (5, 243_940_594_741)])
+def test_tp2_past_three_instances_is_inconsistent_at_an_unbounded_budget(instances,
+                                                                         candidates):
+    # a grid completed by the first blocks refutes their whole subtree, so
+    # these end in about 0.2 s and 1.4 s
+    case = tp2_case(2, 2, instances, element_cap=2000)
+    v = pattern_consistent(*case, stage_budget=1, candidate_budget=10**15,
+                           element_cap=2000)
+    assert (v.status, v.candidates) == (PatternStatus.INCONSISTENT, candidates)
+
+
+def test_tp2_grid_checks_are_pinned(monkeypatch):
+    # completion_witness is asked once per incidence a search level adds or
+    # refuses: 381 times, where building every assignment's candidate asked
+    # 2,681 times
+    case, calls = tp2_case(2, 2, 3), []
+    witness = StructureBuilder.completion_witness
+    monkeypatch.setattr(StructureBuilder, "completion_witness",
+                        lambda b, p, l: calls.append((p, l)) or witness(b, p, l))
+    v = pattern_consistent(*case, stage_budget=1)
+    assert (v.status, v.candidates, len(calls)) == (PatternStatus.INCONSISTENT,
+                                                    297_228, 381)
+
+
 @pytest.mark.parametrize("m, n, status, candidates", [
     (3, 3, PatternStatus.CONSISTENT, 6_759),
     (2, 3, PatternStatus.UNKNOWN, 1_769),
@@ -409,7 +434,7 @@ def random_pattern_case(rng):
     """A small base, a pattern of at most five variables with at most four
     pool occurrences, and one to four instances (repeated parameters
     included, so the distinctness check is exercised)."""
-    m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
+    m, n = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
     base = random_free_structure(rng, m, n, max_elements=5)
     while True:
         dg = random_free_structure(rng, m, n, max_elements=5)
@@ -480,6 +505,24 @@ def test_a_refused_candidate_leaves_no_incidence_behind():
     assert (full.status, full.candidates) == (PatternStatus.UNKNOWN, 2)
     assert full.quotient == QuotientAssignment(
         ((("s", x),), (("s", y),)), (None, base.by_name("p")))
+
+
+def test_a_backtracked_level_leaves_nothing_behind():
+    # (2,2): each instance's witness point P lies on the base lines l0 and
+    # l1 and on the shared line S.  Two distinct witnesses put two points on
+    # both lines, so the first partition is refuted at its second block, and
+    # the first block's fresh point must go when its level is backtracked:
+    # left behind, it completes a grid with the merged witness of the next
+    # partition, which survives.
+    base = build(2, 2, lines=("l0", "l1"))
+    dg = build(2, 2, points=("P",), lines=("A", "B", "S"),
+               incidences=(("P", "A"), ("P", "B"), ("P", "S")))
+    a, b, shared, witness = (dg.by_name(nm) for nm in ("A", "B", "S", "P"))
+    pattern = ExistentialPattern(dg, (shared,), (a, b), (witness,))
+    l0, l1 = base.lines
+    full = assert_pattern_budgets_agree(base, pattern, [(l0, l1), (l1, l0)], 0)
+    assert (full.status, full.candidates) == (PatternStatus.UNKNOWN, 4)
+    assert full.quotient.targets == (None, None)
 
 
 # ---------------------------------------------------------------------------
