@@ -22,9 +22,10 @@ checkers) is built on the small vocabulary here:
   line scan ``_scan``, which grows m-sets on each line by the same
   partners, for the colex-first witness.
 * ``_match``: the one backtracking matcher, iterative, for injective maps
-  that keep sorts and incidence.  ``isomorphic_over`` runs it to extend a
-  partial base map (to the lexicographically least isomorphism), and
-  ``finsearch`` to embed structures into planes.
+  that keep sorts and incidence, on bit rows (Ullmann, J. ACM 23(1), 1976).
+  ``isomorphic_over`` runs it to extend a partial base map (to the
+  lexicographically least isomorphism), and ``finsearch`` to embed
+  structures into planes.
 
 Deterministic subset scans use colexicographic order throughout (subsets
 compared by largest element first), so reported witnesses are stable.
@@ -37,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class Sort(enum.Enum):
@@ -598,61 +599,75 @@ class IsoResult:
         return self.mapping is not None
 
 
+_ROW_BITS = 1 << 26  # _match keeps two rounds of at most this many row bits (8 MB)
+
+
 def _match(small: IncidenceStructure, big: IncidenceStructure, order: Sequence[int],
-           candidates: Callable[[int, dict], Iterable[int]], mapping: dict,
+           classes: Sequence[int], mapping: dict,
            node_budget: Optional[int] = None) -> tuple:
     """Extend ``mapping`` (small -> big, in place) over ``order``, assigning
     its elements in turn; returns (outcome, nodes).
 
-    Each element tries the unused images of ``candidates(e, mapping)`` in
-    their order, each one node, counted after the budget check.  An image
-    passes when its neighbours among the mapped images of the other sort are
-    exactly the images of e's mapped neighbours: with an injective map, the
-    pairwise incidence test.  The outcome is True when all are mapped, False
-    when the space is exhausted, None when ``node_budget`` ran out.  A stack
-    frame keeps its element, candidate iterator, wanted set and used and
-    opposite image sets, so backtracking recomputes nothing.
+    Sets of big-elements are bit masks.  The candidates of e are
+    ``classes[e]`` ANDed with the rows (neighbour masks) of its mapped
+    neighbours' images, minus the used images, tried low bit (id) first,
+    each one a node, counted after the budget check.  Each candidate lies on
+    all those images, so it passes when its row meets the used images in
+    just as many: with an injective map, the pairwise incidence test.
+    Memory stays linear in ``big``.  No stack of masks is kept: on
+    backtracking a position recomputes its candidates above the image it
+    gives up.  e's mapped neighbours are listed when e is first reached.  A
+    row is built when its element is first tested or mapped; once a round
+    of rows passes ``_ROW_BITS`` bits it is dropped but kept to copy from in
+    the next, so rows in use are not rebuilt.  The outcome is True when all
+    are mapped, False when the space is exhausted, None when
+    ``node_budget`` ran out.
     """
-    small_adj, big_adj, sorts, point = small._adj, big._adj, small._sorts, Sort.POINT
-    pimg = {b for a, b in mapping.items() if sorts[a] is point}
-    limg = set(mapping.values()) - pimg
+    small_adj, big_adj, shift = small._adj, big._adj, (1).__lshift__
+    rows, kept = [0] * len(big), 0
+    last = rows  # the rows of the round before; at first, no others
+
+    def row_of(b: int) -> int:
+        nonlocal kept, last
+        row = rows[b] = last[b] or sum(map(shift, big_adj[b]))
+        kept += row.bit_length()
+        if kept > _ROW_BITS:  # rows not used since the last round go
+            last, rows[:], kept = rows[:], [0] * len(rows), 0
+        return row
+
+    used = sum(map(shift, mapping.values()))
+    before: list = [None] * len(order)
     budget = float("inf") if node_budget is None else node_budget
-    nodes = 0
-    stack: list = []
-    while len(stack) < len(order):
-        e = order[len(stack)]
-        used, opp = (pimg, limg) if sorts[e] is point else (limg, pimg)
-        want = {mapping[o] for o in small_adj[e] if o in mapping}
-        stack.append((e, iter(candidates(e, mapping)), want, used, opp))
-        while True:
-            e, cands, want, used, opp = stack[-1]
-            for img in cands:
-                if img in used:
-                    continue
-                if nodes >= budget:
-                    return None, nodes
-                nodes += 1
-                if big_adj[img] & opp == want:
-                    mapping[e] = img
-                    used.add(img)
-                    break
-            else:
-                stack.pop()
-                if not stack:
-                    return False, nodes
-                stack[-1][3].remove(mapping.pop(stack[-1][0]))
-                continue
-            break
+    nodes, at, above, top = 0, 0, -1, len(order)
+    while at < top:
+        e, mapped = order[at], before[at]
+        if mapped is None:
+            mapped = before[at] = [u for u in small_adj[e] if u in mapping]
+        cands = classes[e] & ~used & above
+        for u in mapped:
+            b = mapping[u]
+            cands &= rows[b] or row_of(b)
+        k = len(mapped)
+        while cands:
+            if nodes >= budget:
+                return None, nodes
+            nodes += 1
+            low = cands & -cands
+            cands ^= low
+            img = low.bit_length() - 1
+            if ((rows[img] or row_of(img)) & used).bit_count() == k:
+                mapping[e] = img
+                used |= low
+                at, above = at + 1, -1
+                break
+        else:
+            if not at:
+                return False, nodes
+            at -= 1
+            img = mapping.pop(order[at])
+            used ^= 1 << img
+            above = -2 << img
     return True, nodes
-
-
-def _on_mapped_neighbours(small_adj: Sequence[frozenset], big_adj: Sequence[frozenset],
-                          e: int, mapping: dict) -> Optional[frozenset]:
-    """The big-elements incident with the images of all of e's mapped
-    neighbours, or None when none is mapped.  Under an injective map every
-    other image fails ``_match``'s test, so candidate lists may keep to it."""
-    on = sorted((big_adj[mapping[u]] for u in small_adj[e] if u in mapping), key=len)
-    return on[0].intersection(*on[1:]) if on else None
 
 
 def isomorphic_over(
@@ -667,8 +682,8 @@ def isomorphic_over(
     lexicographically least extension.  Returns IsoResult(None) if none
     exists; base_conflict is set when the base map itself is not a partial
     embedding.  Malformed bases (sort clash, non-injective) raise instead.
-    An element's candidates are the s2-elements of its sort and degree on
-    the images of all its mapped neighbours: every other image fails.
+    An element's class is the s2-elements of its sort and degree, which
+    ``_match`` narrows to those on the images of all its mapped neighbours.
     """
     if s1.params != s2.params:
         return IsoResult(None)
@@ -683,28 +698,18 @@ def isomorphic_over(
         raise ParameterError("base map is not injective")
     if embedding_fault(s1, s2, base) is not None:
         return IsoResult(None, base_conflict=True)
-    mapping = dict(base)
 
-    def keys(s):  # (is a point, degree) per element
-        return [(srt is Sort.POINT, len(nb)) for srt, nb in zip(s._sorts, s._adj)]
-
-    adj1, adj2, key1, key2 = s1._adj, s2._adj, keys(s1), keys(s2)
+    key1, key2 = ([(srt is Sort.POINT, len(nb)) for srt, nb in zip(s._sorts, s._adj)]
+                  for s in (s1, s2))  # (is a point, degree) per element
     # the same point and line counts and degree sequences
     if sorted(key1) != sorted(key2):
         return IsoResult(None)
-    by_class: dict = {}  # key -> s2-elements in id order
+    masks: dict = {}  # key -> mask of its s2-elements
     for b, key in enumerate(key2):
-        by_class.setdefault(key, []).append(b)
-
-    def candidates(a: int, mapping: dict):
-        on = _on_mapped_neighbours(adj1, adj2, a, mapping)
-        if on is None:
-            return by_class[key1[a]]
-        degree = len(adj1[a])
-        return sorted(b for b in on if len(adj2[b]) == degree)
-
+        masks[key] = masks.get(key, 0) | 1 << b
+    mapping = dict(base)
     order = [e for e in s1.elements() if e not in mapping]
-    if _match(s1, s2, order, candidates, mapping)[0]:
+    if _match(s1, s2, order, [masks[k] for k in key1], mapping)[0]:
         return IsoResult(dict(sorted(mapping.items())))
     return IsoResult(None)
 

@@ -21,7 +21,7 @@ those of the search on such a table, which ``tests/test_search_work.py``
 keeps as the reference.
 
 Embedding queries reuse found planes through a cache keyed by order, and
-search with the one backtracking matcher of ``core``.  The first element
+search with the bit-row matcher of ``core``.  The first element
 (the root) skips each image c that an automorphism g of the plane maps a
 failed image f onto: an embedding phi with phi(root) = c would give the
 embedding g^-1 . phi with root image f.  So the first embedding found is
@@ -47,7 +47,6 @@ from .core import (
     Sort,
     StructParams,
     _match,
-    _on_mapped_neighbours,
     _require_budgets,
     _require_free,
 )
@@ -345,16 +344,12 @@ def _assignment_order(s: IncidenceStructure, placed=()) -> List[int]:
     return chosen
 
 
-def _neighbour_candidates(small: IncidenceStructure, big: IncidenceStructure):
-    """``_match`` candidates: the images incident with all images of e's
-    mapped neighbours, else every point or every line of ``big``; id order."""
-    images = [big.points if small.is_point(e) else big.lines for e in small.elements()]
-
-    def candidates(e: int, mapping: Dict[int, int]):
-        on = _on_mapped_neighbours(small._adj, big._adj, e, mapping)
-        return images[e] if on is None else sorted(on)
-
-    return candidates
+def _sort_classes(small: IncidenceStructure, big: IncidenceStructure) -> List[int]:
+    """``_match`` classes: per small-element, the mask of big's points or
+    big's lines."""
+    points = sum(map((1).__lshift__, big.points))
+    lines = points ^ (1 << len(big)) - 1
+    return [points if srt is Sort.POINT else lines for srt in small._sorts]
 
 
 def _induced_embedding(
@@ -365,7 +360,8 @@ def _induced_embedding(
     """Induced embedding small -> big by the matcher in ``core``.
 
     Elements are assigned most-constrained first, each trying the unused
-    ``_neighbour_candidates`` in id order, each one a node.  When root
+    images of its sort (``_sort_classes``) on the images of its mapped
+    neighbours in id order, each one a node.  When root
     image f fails, each later root image c = g(f) for an automorphism g of
     ``big`` is skipped: an embedding phi with phi(root) = c would give the
     embedding g^-1 . phi with root image f.  Skipped images would fail, so
@@ -379,7 +375,7 @@ def _induced_embedding(
         return SearchStatus.FOUND, {}, 0
     root, rest = order[0], order[1:]
     roots = big.points if small.is_point(root) else big.lines
-    candidates = _neighbour_candidates(small, big)
+    classes = _sort_classes(small, big)
     nodes, skip, automorphisms = 0, set(), []
     for i, f in enumerate(roots):
         if f in skip:
@@ -388,7 +384,7 @@ def _induced_embedding(
             return SearchStatus.UNKNOWN, None, nodes
         nodes += 1
         mapping = {root: f}
-        outcome, spent = _match(small, big, rest, candidates, mapping, node_budget - nodes)
+        outcome, spent = _match(small, big, rest, classes, mapping, node_budget - nodes)
         nodes += spent
         if outcome is None:
             return SearchStatus.UNKNOWN, None, nodes
@@ -410,16 +406,16 @@ def _orbit(big: IncidenceStructure, f: int, later: List[int],
     ``later``; returns (orbit, nodes), orbit None when the budget ran out.
 
     Each c in ``later`` outside the known orbit costs one search for an
-    automorphism with f -> c; one found joins ``automorphisms`` (kept
-    across calls) and closes the orbit under all of them.
+    automorphism with f -> c by the same matcher; one found joins
+    ``automorphisms`` (kept across calls) and closes the orbit under all.
     """
     orbit, nodes = _closed({f}, automorphisms), 0
-    order, candidates = _assignment_order(big, (f,)), _neighbour_candidates(big, big)
+    order, classes = _assignment_order(big, (f,)), _sort_classes(big, big)
     for c in later:
         if c in orbit:
             continue
         g = {f: c}
-        outcome, spent = _match(big, big, order, candidates, g, node_budget - nodes)
+        outcome, spent = _match(big, big, order, classes, g, node_budget - nodes)
         nodes += spent
         if outcome is None:
             return None, nodes
