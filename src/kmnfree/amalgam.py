@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Optional, Sequence
@@ -477,14 +478,21 @@ def _partitions(items: Sequence, k: int) -> list:
 
 def _quotients(pts: Sequence, lns: Sequence) -> Iterable[tuple]:
     """Point partition + line partition pairs by (merges, blocks), where merges
-    is tokens minus blocks, built one merge layer at a time."""
+    is tokens minus blocks, built one merge layer at a time, as pairs (pp,
+    lps): the quotients pp + lp for lp in lps, which all have as many line
+    blocks.  A point partition covers every point token, so none is a prefix
+    of another and two quotients with distinct point partitions are ordered
+    by them: a layer's point partitions sorted, each followed by its line
+    partitions sorted, is the layer's quotients sorted."""
     most_p, most_l = max(len(pts) - 1, 0), max(len(lns) - 1, 0)
+    line_parts = functools.cache(lambda k: sorted(_partitions(lns, k)))
     for r in range(most_p + most_l + 1):
         layer = []
         for rp in range(max(r - most_l, 0), min(r, most_p) + 1):
-            lps = _partitions(lns, len(lns) - (r - rp))
-            layer += [pp + lp for pp in _partitions(pts, len(pts) - rp) for lp in lps]
-        yield from sorted(layer)
+            lps = line_parts(len(lns) - (r - rp))
+            layer += [(pp, lps) for pp in _partitions(pts, len(pts) - rp)]
+        layer.sort(key=operator.itemgetter(0))
+        yield from layer
 
 
 def _injective_fills(blocks: int, targets: int) -> int:
@@ -542,6 +550,21 @@ def pattern_consistent(
     are that search's.  So the budget bounds the space searched, not the
     time spent; only the exact-mode check runs once per assignment.
 
+    Each check runs once, where its inputs are fixed.  Once per call: an
+    instance that repeats a base id, or a required incidence between two
+    base ids that the ground lacks, refutes every assignment.  Once per
+    partition, before its search is set up: a block holding two tokens of
+    one instance refutes all its assignments.  Such a block lies in the
+    point or the line partition, and a point partition's quotients are
+    consecutive in search order (see ``_quotients``), so a clashing point
+    partition adds all of them at once.  Once per level: the images of the
+    block's other ends, and the assignments below a refuted fresh or
+    existing target, from the count of targets its sort has taken.  The
+    bulk counts are sums of the per-leaf counts, added at the place of
+    their first leaf, before any later partition is searched; a count that
+    passes the budget stops the search whichever of its leaves passes it,
+    so the count, survivor and verdict stay the per-leaf search's.
+
     A_T is the id prefix ``range(len(A_T))`` of the workspace, so the ground
     induced on it keeps closure element ids, which serve as candidate ids.
     The closure starts at the base ids, which are the whole workspace, and
@@ -592,9 +615,8 @@ def pattern_consistent(
     pool = [("s", v) for v in pattern.shared_vars]
     for j in range(len(instances)):
         pool += [("w", j, v) for v in pattern.witness_vars]
-    token_sort = {tok: dg.sort(tok[-1]) for tok in pool}
-    pts = [t for t in pool if token_sort[t] is Sort.POINT]
-    lns = [t for t in pool if token_sort[t] is Sort.LINE]
+    pts = [t for t in pool if dg.is_point(t[-1])]
+    lns = [t for t in pool if dg.is_line(t[-1])]
 
     def resolve_token(j, v):
         if v in pattern.shared_vars:
@@ -611,8 +633,33 @@ def pattern_consistent(
         (elems[p], elems[l]) for elems in inst_elems for p, l in dg.incidences()
     ))
 
+    # once per call, what no partition changes.  Per token, the instances
+    # it occurs in as a bit mask, and the base ids of those instances, which
+    # its block's target must avoid.  ``settled`` is False, and every
+    # assignment refuted, if an instance repeats a base id or a required
+    # incidence between two base ids is not in the ground.
+    owners, avoid_of = dict.fromkeys(pool, 0), {tok: set() for tok in pool}
+    settled = all(ground.incident(p, l) for p, l in required
+                  if p not in owners and l not in owners)
+    for j, elems in enumerate(inst_elems):
+        ids = [t for t in elems if t not in owners]
+        settled = settled and len(set(ids)) == len(ids)
+        for tok in owners.keys() & elems:
+            owners[tok] |= 1 << j
+            avoid_of[tok].update(ids)
+    linked = [(p, l) for p, l in required if p in owners or l in owners]
+
+    def clashes(part) -> bool:
+        """Whether a block of ``part`` holds two tokens of one instance,
+        which need two distinct images.  Tokens in distinct blocks always
+        get distinct images (targets are injective, fresh elements new)."""
+        for blk in part:
+            masks = [owners[tok] for tok in blk]
+            if sum(masks) != functools.reduce(operator.or_, masks):
+                return True
+        return False
+
     candidates = 0
-    survivor = None
 
     def count(leaves: int) -> None:
         # the per-leaf count, in bulk: a budget hit stops at budget + 1,
@@ -623,61 +670,21 @@ def pattern_consistent(
             candidates = candidate_budget + 1
             raise BudgetError("candidate budget exhausted")
 
-    def plan(blocks):
-        """The checks of one partition, each at the block whose target
-        decides it.  None if they refute every assignment; else, per block,
-        (avoid, ends): the ids its target must avoid (parameters of an
-        instance with an occurrence in the block), and the other ends of the
-        required incidences it decides, base ids or tokens of earlier
-        blocks.  Two occurrences in distinct blocks always get distinct
-        images (targets are injective, fresh elements new)."""
-        block_of = {tok: i for i, blk in enumerate(blocks) for tok in blk}
-        avoid = [set() for _ in blocks]
-        ends = [[] for _ in blocks]
-        for elems in inst_elems:
-            ids = [t for t in elems if t not in block_of]
-            idx = [block_of[t] for t in elems if t in block_of]
-            if len(set(ids)) != len(ids) or len(set(idx)) != len(idx):
-                return None
-            for i in idx:
-                avoid[i].update(ids)
-        for ptok, ltok in required:
-            pi, li = block_of.get(ptok, -1), block_of.get(ltok, -1)
-            if pi == li:  # two base ids
-                if not ground.incident(ptok, ltok):
-                    return None
-            elif pi > li:
-                ends[pi].append(ltok)
-            else:
-                ends[li].append(ptok)
-        return list(zip(avoid, ends))
-
     scratch = StructureBuilder.from_structure(ground)
-    size = len(ground)
+    size, ground_adj = len(ground), ground._adj
 
-    def place(blk, tgt, avoid, ends, image):
-        """Give block ``blk`` its image in ``scratch``, ``tgt`` or a fresh
-        element if None, and add the incidences the block decides.  The
-        pairs added, or None, with nothing left added, if the assignments
-        below are all refuted: a target in ``avoid``, an incidence between
-        closure elements that the ground lacks, or one that completes a
-        grid (``completion_witness`` is asked before each add)."""
-        point = token_sort[blk[0]] is Sort.POINT
-        e = tgt if tgt is not None else scratch.add_point() if point else scratch.add_line()
-        for tok in blk:
-            image[tok] = e
-        xs = [image.get(x, x) for x in ends]  # image(t, t): tokens are tuples, ids ints
-        if tgt is not None:
-            nb = ground.neighbors(tgt)
-            if tgt in avoid or any(x < size and x not in nb for x in xs):
-                return None
+    def link(e, xs, point, fresh):
+        """Add the incidences of ``e`` with each of ``xs`` to ``scratch``.
+        The pairs added, or None, with nothing left added (nor ``e`` if
+        ``fresh``), if one completes a grid (``completion_witness`` is asked
+        before each add)."""
         added = []
         for x in xs:
             p, l = (e, x) if point else (x, e)
             if l in scratch.neighbors(p):
                 continue
             if scratch.completion_witness(p, l) is not None:
-                scratch._truncate(len(scratch) - (tgt is None), added)
+                scratch._truncate(len(scratch) - fresh, added)
                 return None
             scratch.add_incidence(p, l, guard=False)
             added.append((p, l))
@@ -691,105 +698,121 @@ def pattern_consistent(
             for elems in inst_elems
         )
 
-    targets = {Sort.POINT: (None,) + ground.points, Sort.LINE: (None,) + ground.lines}
+    point_targets, line_targets = (None,) + ground.points, (None,) + ground.lines
     fills = functools.cache(_injective_fills)  # per call: none carried across calls
 
-    for blocks in _quotients(pts, lns):
-        # point blocks come first; per sort, an assignment is an injective
-        # choice of targets, fresh (None) first
-        n_points = sum(token_sort[blk[0]] is Sort.POINT for blk in blocks)
-        spans = (
-            (0, n_points, len(ground.points)),
-            (n_points, len(blocks), len(ground.lines)),
-        )
+    def search(blocks, n_points):
+        """The targets of the first surviving assignment of a partition
+        whose point blocks are the first ``n_points``, or None, counting
+        every assignment before it.  Per sort, an assignment is an injective
+        choice of targets, fresh (None) first.  Depth first over one explicit
+        stack of levels, one per block whose target is being chosen; ``chosen``
+        holds the targets of the blocks below, ``added`` the pairs each of
+        them added."""
+        if not blocks:
+            count(1)
+            return () if induces_diagram({}) else None
+        # each required incidence is decided by the later of its blocks;
+        # the other end is a base id or a token of an earlier block
+        block_of = {tok: i for i, blk in enumerate(blocks) for tok in blk}
+        ends = [[] for _ in blocks]
+        for ptok, ltok in linked:
+            pi, li = block_of.get(ptok, -1), block_of.get(ltok, -1)
+            if pi > li:
+                ends[pi].append(ltok)
+            else:
+                ends[li].append(ptok)
+        avoid = [set().union(*map(avoid_of.get, blk)) for blk in blocks]
+        line_fills = fills(len(blocks) - n_points, len(ground.lines))
+        image, chosen, added = {}, [], []
 
-        def leaves(i, chosen):
-            """Assignments that extend ``chosen``, the targets of blocks < i."""
-            total = 1
-            for lo, hi, n_targets in spans:
-                free = n_targets - sum(t is not None for t in chosen[lo:hi])
-                total *= fills(max(hi - max(lo, i), 0), free)
-            return total
+        def level(i, taken):
+            """Block i's level, ``taken`` existing targets already chosen
+            for blocks of its sort: its targets, the images of its ends, the
+            closure ids among them and the others, its avoid set, and the
+            assignments below a refuted fresh target and a refuted existing
+            one."""
+            point = i < n_points
+            last, targets = (n_points, point_targets) if point else (len(blocks), line_targets)
+            free, tail = len(targets) - 1 - taken, line_fills if point else 1
+            xs = [image.get(x, x) for x in ends[i]]  # image(t, t): tokens are tuples, ids ints
+            return (iter(targets), xs, [x for x in xs if x < size], [x for x in xs if x >= size],
+                    avoid[i], fills(last - i - 1, free) * tail,
+                    fills(last - i - 1, free - 1) * tail, taken)
 
-        def search():
-            """The targets of the first surviving assignment, or None,
-            counting every assignment before it.  Depth first over one
-            explicit stack of target iterators, one per block whose target
-            is being chosen and an empty one below a leaf, so that each
-            level is undone in one place; ``chosen`` holds the targets of
-            the blocks below, ``added`` the pairs each of them added."""
-            if not blocks:
-                count(1)
-                return () if induces_diagram({}) else None
-            options = [targets[token_sort[blk[0]]] for blk in blocks] + [()]
-            image = {}
-            chosen, added, todo = [], [], [iter(options[0])]
-            while todo:
-                tgt = next(todo[-1], todo)
-                if tgt is todo:  # this block's targets are all tried
-                    todo.pop()
-                    if chosen:  # take out what the level below added
-                        scratch._truncate(len(scratch) - (chosen.pop() is None), added.pop())
-                    continue
-                i = len(chosen)
-                if tgt is not None and tgt in chosen:
-                    continue
-                new = place(blocks[i], tgt, *checks[i], image)
-                if new is None:
-                    count(leaves(i + 1, chosen + [tgt]))
-                    continue
-                chosen.append(tgt)
-                added.append(new)
-                if i + 1 == len(blocks):  # a leaf: no targets below it
-                    count(1)
-                    if induces_diagram(image):
-                        return tuple(chosen)  # later siblings come after it: not counted
-                todo.append(iter(options[i + 1]))
-            return None
-
-        checks = plan(blocks)
-        try:
-            if checks is None:
-                count(leaves(0, []))
+        levels = [level(0, 0)]
+        while levels:
+            todo, xs, known, late, shun, none_below, some_below, taken = levels[-1]
+            i = len(chosen)
+            point = i < n_points
+            for tgt in todo:
+                if tgt is None:
+                    e = scratch.add_point() if point else scratch.add_line()
+                    new = link(e, xs, point, True)
+                    if new is None:
+                        count(none_below)
+                        continue
+                else:
+                    if tgt in chosen:
+                        continue
+                    # a target must avoid its instances' parameters and lie
+                    # on its closure ends already
+                    if tgt in shun or not ground_adj[tgt].issuperset(known):
+                        count(some_below)
+                        continue
+                    e, new = tgt, link(tgt, late, point, False)
+                    if new is None:
+                        count(some_below)
+                        continue
+                for tok in blocks[i]:
+                    image[tok] = e
+                if i + 1 < len(blocks):
+                    break
+                count(1)  # a leaf
+                if induces_diagram(image):
+                    return tuple(chosen) + (tgt,)  # later siblings come after it: not counted
+                scratch._truncate(len(scratch) - (tgt is None), new)
+            else:  # this block's targets are all tried
+                levels.pop()
+                if chosen:  # take out what the level below added
+                    scratch._truncate(len(scratch) - (chosen.pop() is None), added.pop())
                 continue
-            found = search()
-        except BudgetError:
-            return PatternVerdict(
-                PatternStatus.UNKNOWN,
-                None,
-                stage,
-                run.converged,
-                candidates,
-                f"candidate budget {candidate_budget} exhausted",
-            )
-        if found is not None:
-            survivor = QuotientAssignment(tuple(blocks), found)
-            break
+            chosen.append(tgt)
+            added.append(new)
+            levels.append(level(i + 1, 0 if i + 1 == n_points else taken + (tgt is not None)))
+        return None
 
-    if survivor is not None:
-        if run.converged:
-            return PatternVerdict(
-                PatternStatus.CONSISTENT,
-                survivor,
-                stage,
-                True,
-                candidates,
-                "surviving quotient over the converged closure",
-            )
-        return PatternVerdict(
-            PatternStatus.UNKNOWN,
-            survivor,
-            stage,
-            False,
-            candidates,
-            "a quotient survives but the base closure did not converge "
-            f"within {stage_budget} stages",
-        )
-    return PatternVerdict(
-        PatternStatus.INCONSISTENT,
-        None,
-        stage,
-        run.converged,
-        candidates,
-        f"all {candidates} assignments refuted at closure stage {stage}",
-    )
+    def first_survivor():
+        """The first surviving quotient assignment, or None, counting
+        every assignment before it; a partition with a block that clashes
+        is refuted whole, and a point partition that clashes with each of
+        its line partitions."""
+        for pp, lps in _quotients(pts, lns):
+            each = fills(len(pp), len(ground.points)) * fills(len(lps[0]), len(ground.lines))
+            if not settled or clashes(pp):
+                count(len(lps) * each)
+                continue
+            for lp in lps:
+                if clashes(lp):
+                    count(each)
+                    continue
+                found = search(pp + lp, len(pp))
+                if found is not None:
+                    return QuotientAssignment(pp + lp, found)
+        return None
+
+    try:
+        survivor = first_survivor()
+    except BudgetError:
+        return PatternVerdict(PatternStatus.UNKNOWN, None, stage, run.converged, candidates,
+                              f"candidate budget {candidate_budget} exhausted")
+    if survivor is None:
+        status = PatternStatus.INCONSISTENT
+        detail = f"all {candidates} assignments refuted at closure stage {stage}"
+    elif run.converged:
+        status, detail = PatternStatus.CONSISTENT, "surviving quotient over the converged closure"
+    else:
+        status = PatternStatus.UNKNOWN
+        detail = ("a quotient survives but the base closure did not converge "
+                  f"within {stage_budget} stages")
+    return PatternVerdict(status, survivor, stage, run.converged, candidates, detail)

@@ -34,6 +34,7 @@ the space is the only way to conclude NONE.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -332,15 +333,22 @@ def enumerate_projective_planes(
 
 def _assignment_order(s: IncidenceStructure, placed=()) -> List[int]:
     # most-constrained-first after ``placed``: repeatedly take the element
-    # with the most already-ordered neighbors, breaking ties toward lower ids
+    # with the most already-ordered neighbors, breaking ties toward lower
+    # ids.  The heap gets (-count, id) each time a count grows, so an
+    # element's newest entry pops first, and its older ones are skipped.
+    done = set(placed)
+    counts = [len(s.neighbors(e) & done) for e in s.elements()]
+    heap = [(-counts[e], e) for e in s.elements() if e not in done]
+    heapq.heapify(heap)
     chosen: List[int] = []
-    placed = set(placed)
-    remaining = set(s.elements()) - placed
-    while remaining:
-        best = max(remaining, key=lambda e: (len(s.neighbors(e) & placed), -e))
-        chosen.append(best)
-        placed.add(best)
-        remaining.remove(best)
+    while heap:
+        e = heapq.heappop(heap)[1]
+        if e not in done:
+            chosen.append(e)
+            done.add(e)
+            for x in s.neighbors(e) - done:
+                counts[x] += 1
+                heapq.heappush(heap, (-counts[x], x))
     return chosen
 
 
@@ -368,14 +376,15 @@ def _induced_embedding(
     the first embedding found is the one the unpruned search finds.  The
     automorphisms are induced self-maps of ``big`` with f -> c (injective,
     so onto), searched only after a failure; their nodes count in the
-    total and against the budget.
+    total and against the budget.  The classes of ``big`` in itself are
+    built once per call, at the first failure.
     """
     order = _assignment_order(small)
     if not order:
         return SearchStatus.FOUND, {}, 0
     root, rest = order[0], order[1:]
     roots = big.points if small.is_point(root) else big.lines
-    classes = _sort_classes(small, big)
+    classes, big_classes = _sort_classes(small, big), None
     nodes, skip, automorphisms = 0, set(), []
     for i, f in enumerate(roots):
         if f in skip:
@@ -391,7 +400,9 @@ def _induced_embedding(
         if outcome:
             return SearchStatus.FOUND, mapping, nodes
         later = [c for c in roots[i + 1:] if c not in skip]
-        orbit, spent = _orbit(big, f, later, automorphisms, node_budget - nodes)
+        big_classes = big_classes or _sort_classes(big, big)
+        orbit, spent = _orbit(big, f, later, automorphisms, big_classes,
+                              node_budget - nodes)
         nodes += spent
         if orbit is None:
             return SearchStatus.UNKNOWN, None, nodes
@@ -400,20 +411,22 @@ def _induced_embedding(
 
 
 def _orbit(big: IncidenceStructure, f: int, later: List[int],
-           automorphisms: List[Dict[int, int]], node_budget: int
-           ) -> Tuple[Optional[set], int]:
+           automorphisms: List[Dict[int, int]], classes: List[int],
+           node_budget: int) -> Tuple[Optional[set], int]:
     """The orbit of f under the automorphisms of ``big``, as far as it meets
     ``later``; returns (orbit, nodes), orbit None when the budget ran out.
 
     Each c in ``later`` outside the known orbit costs one search for an
-    automorphism with f -> c by the same matcher; one found joins
-    ``automorphisms`` (kept across calls) and closes the orbit under all.
+    automorphism with f -> c by the same matcher, over ``classes`` (those of
+    ``big`` in itself); one found joins ``automorphisms`` (kept across
+    calls) and closes the orbit under all.  The assignment order is built
+    at the first such search.
     """
-    orbit, nodes = _closed({f}, automorphisms), 0
-    order, classes = _assignment_order(big, (f,)), _sort_classes(big, big)
+    orbit, nodes, order = _closed({f}, automorphisms), 0, None
     for c in later:
         if c in orbit:
             continue
+        order = order or _assignment_order(big, (f,))
         g = {f: c}
         outcome, spent = _match(big, big, order, classes, g, node_budget - nodes)
         nodes += spent

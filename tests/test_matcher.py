@@ -342,3 +342,46 @@ def test_matcher_agrees_when_it_drops_its_rows(monkeypatch, row_bits):
     s2, _ = relabelled(rng, s1)
     assert_matchers_agree(s1, s2, list(s1.elements()), iso_classes(s1, s2),
                           reference_iso_candidates(s1, s2), {})
+
+
+def reference_assignment_order(s, placed=()):
+    """The quadratic rule: a copy of ``_assignment_order`` before its
+    neighbour counts, a ``max`` over the remaining elements per step."""
+    chosen = []
+    placed = set(placed)
+    remaining = set(s.elements()) - placed
+    while remaining:
+        best = max(remaining, key=lambda e: (len(s.neighbors(e) & placed), -e))
+        chosen.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    return chosen
+
+
+def random_prefix(rng, s):
+    """No prefix, one element, or a random sample of s's elements."""
+    k = rng.choice([0, 1, rng.randint(0, len(s))])
+    return tuple(rng.sample(s.elements(), min(k, len(s))))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_assignment_order_matches_the_quadratic_rule(seed):
+    # random (2,2) structures, sparse and dense, from a random prefix
+    rng = random.Random(seed)
+    s = random_free_structure(rng, 2, 2, max_elements=14,
+                              incidence_tries=rng.randint(0, 60))
+    placed = random_prefix(rng, s)
+    assert _assignment_order(s, placed) == reference_assignment_order(s, placed)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_assignment_order_on_planes_matches_the_quadratic_rule(q):
+    # every element as the one-element prefix of the orbit searches, no
+    # prefix, and random larger ones
+    rng = random.Random(q)
+    plane = find_projective_plane(q).plane
+    prefixes = [()] + [(f,) for f in plane.elements()]
+    prefixes += [random_prefix(rng, plane) for _ in range(10)]
+    for placed in prefixes:
+        assert _assignment_order(plane, placed) == reference_assignment_order(plane, placed)

@@ -164,8 +164,9 @@ def test_tp2_candidate_counts_are_pinned():
                                                    (5, 243_940_594_741)])
 def test_tp2_past_three_instances_is_inconsistent_at_an_unbounded_budget(instances,
                                                                          candidates):
-    # a grid completed by the first blocks refutes their whole subtree, so
-    # these end in about 0.2 s and 1.4 s
+    # a grid completed by the first blocks refutes their whole subtree, and
+    # a partition with two occurrences of one instance in a block is refuted
+    # before its search, so these end in about 0.04 s and 0.5 s on 2 CPUs
     case = tp2_case(2, 2, instances, element_cap=2000)
     v = pattern_consistent(*case, stage_budget=1, candidate_budget=10**15,
                            element_cap=2000)
@@ -291,7 +292,8 @@ def test_quotient_layers_follow_the_eager_sorted_product(n_points, n_lines):
     # order and the sort disagree
     pts = [("w", j, "y") for j in reversed(range(n_points))]
     lns = [("s", "c")] + [("w", j, "x") for j in range(n_lines - 1)] if n_lines else []
-    assert list(_quotients(pts, lns)) == reference_quotients(pts, lns)
+    assert [pp + lp for pp, lps in _quotients(pts, lns) for lp in lps] == (
+        reference_quotients(pts, lns))
 
 
 def reference_pattern_consistent(base, pattern, instances, stage_budget=1,
@@ -523,6 +525,44 @@ def test_a_backtracked_level_leaves_nothing_behind():
     full = assert_pattern_budgets_agree(base, pattern, [(l0, l1), (l1, l0)], 0)
     assert (full.status, full.candidates) == (PatternStatus.UNKNOWN, 4)
     assert full.quotient.targets == (None, None)
+
+
+def test_a_repeated_parameter_refutes_the_whole_space():
+    # The second instance names p for both P1 and P2, which no realization
+    # can give two distinct images, so every assignment is refuted, outside
+    # exact mode too, where nothing else would refute them.  The witness
+    # points of the two instances form two blocks, 1 + 4 + 2 = 7 fills from
+    # the two base points, or one, 1 + 2 = 3; the shared line is fresh or l,
+    # 2: the whole space is (7 + 3) * 2 = 20.
+    base = build(2, 2, points=("p", "q"), lines=("l",), incidences=(("p", "l"),))
+    dg = build(2, 2, points=("P1", "P2", "X"), lines=("L",),
+               incidences=(("P1", "L"), ("X", "L")))
+    p1, p2, x, line = (dg.by_name(nm) for nm in ("P1", "P2", "X", "L"))
+    pattern = ExistentialPattern(dg, (line,), (p1, p2), (x,), exact=False)
+    p, q = base.by_name("p"), base.by_name("q")
+    full = assert_pattern_budgets_agree(base, pattern, [(p, q), (p, p)], 0)
+    assert (full.status, full.candidates) == (PatternStatus.INCONSISTENT, 20)
+
+
+def test_a_survivor_after_partitions_refuted_in_its_layer():
+    # (2,2): each instance's witness point P lies on its lines A and B, its
+    # witness point Q on A alone; no base point, so each block is fresh, one
+    # assignment per partition.  While P0 and P1 are apart they lie on both
+    # l0 and l1, a grid: the partition of no merge is refuted.  Of one merge,
+    # P1 + Q1 holds two witnesses of one instance and is refuted before its
+    # search, Q0 + P1 and Q0 + Q1 in it, P0 + Q0 before it, and P0 + P1
+    # survives: 6 counted, two of them for the refuted partitions of its
+    # layer before it.
+    base = build(2, 2, lines=("l0", "l1"))
+    dg = build(2, 2, points=("P", "Q"), lines=("A", "B"),
+               incidences=(("P", "A"), ("P", "B"), ("Q", "A")))
+    pw, qw, a, b = (dg.by_name(nm) for nm in ("P", "Q", "A", "B"))
+    pattern = ExistentialPattern(dg, (), (a, b), (pw, qw))
+    l0, l1 = base.lines
+    full = assert_pattern_budgets_agree(base, pattern, [(l0, l1), (l1, l0)], 0)
+    assert (full.status, full.candidates) == (PatternStatus.UNKNOWN, 6)
+    assert full.quotient.blocks == ((("w", 0, pw), ("w", 1, pw)), (("w", 0, qw),),
+                                    (("w", 1, qw),))
 
 
 # ---------------------------------------------------------------------------
