@@ -483,14 +483,16 @@ def _quotients(pts: Sequence, lns: Sequence) -> Iterable[tuple]:
     blocks.  A point partition covers every point token, so none is a prefix
     of another and two quotients with distinct point partitions are ordered
     by them: a layer's point partitions sorted, each followed by its line
-    partitions sorted, is the layer's quotients sorted."""
+    partitions sorted, is the layer's quotients sorted.  The partitions of
+    each sort into k blocks are built once, for the first layer that uses
+    them, and kept for the later ones."""
     most_p, most_l = max(len(pts) - 1, 0), max(len(lns) - 1, 0)
-    line_parts = functools.cache(lambda k: sorted(_partitions(lns, k)))
+    parts = functools.cache(lambda line, k: sorted(_partitions(lns if line else pts, k)))
     for r in range(most_p + most_l + 1):
         layer = []
         for rp in range(max(r - most_l, 0), min(r, most_p) + 1):
-            lps = line_parts(len(lns) - (r - rp))
-            layer += [(pp, lps) for pp in _partitions(pts, len(pts) - rp)]
+            lps = parts(True, len(lns) - (r - rp))
+            layer += [(pp, lps) for pp in parts(False, len(pts) - rp)]
         layer.sort(key=operator.itemgetter(0))
         yield from layer
 

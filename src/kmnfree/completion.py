@@ -40,7 +40,6 @@ and the ``complete`` command's document are read by this rule.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
@@ -140,10 +139,14 @@ def _short(adj, elems: Sequence[int], end: int, k: int, most: int, common,
            upper: tuple) -> list:
     """The sets ``sub + upper`` as frozensets, for the k-sets ``sub`` of
     ``elems[:end]`` (ascending) in colex order whose common neighbours
-    within ``common`` number at most ``most``.  Only the last level slices."""
+    within ``common`` number at most ``most``.  Only the last level slices.
+    With ``most`` 0 (every point pair at n = 2, every line pair at m = 2)
+    the last level is a disjointness test, which builds no intersection."""
     if k == 0:
         return [frozenset(upper)] if len(common) <= most else []
     if k == 1:
+        if most == 0:
+            return [frozenset((y,) + upper) for y in elems[:end] if common.isdisjoint(adj[y])]
         return [frozenset((y,) + upper) for y in elems[:end] if len(common & adj[y]) <= most]
     out = []
     for i in range(k - 1, end):
@@ -186,22 +189,31 @@ def _step(stage: CompletionStage, defs: DeficientSets) -> CompletionStage:
     ``StructureBuilder`` would give: ``l{e}`` and ``p{e}``, named one by one
     only when one of those is a name of the stage; untouched elements keep
     their sets.  The point and line tuples are the stage's, extended by the
-    fresh ids, so they are not found again by a pass over every element."""
+    fresh ids, so they are not found again by a pass over every element.
+
+    A fresh name is taken only if it equals an old name, so the old names
+    are scanned, not the fresh ones (a stage adds many more than it has).
+    An old name equals a fresh one exactly when it is no longer than the
+    last fresh name, the longest (so ``int`` never meets its digit limit),
+    its tail after the first character is decimal digits, and the fresh
+    name at the id those digits give is the old name.  That comparison
+    refuses the tails that ``int`` reads but ``str`` does not write: a
+    leading zero or digits outside ASCII.  It also refuses the other sort's
+    letter."""
     s, k1 = stage.structure, stage.k + 1
     spawners = defs.point_sets + defs.line_sets
     sorts = (Sort.LINE,) * len(defs.point_sets) + (Sort.POINT,) * len(defs.line_sets)
     first, cut, end = len(s), len(s) + len(defs.point_sets), len(s) + len(spawners)
     names = [f"l{e}" for e in range(first, cut)] + [f"p{e}" for e in range(cut, end)]
-    if not s._ids.keys().isdisjoint(names):
+    if names and any(first <= int(nm[1:]) < end and names[int(nm[1:]) - first] == nm
+                     for nm in s._names if len(nm) <= len(names[-1]) and nm[1:].isdecimal()):
         names = [_default_name(srt, e, s._ids) for e, srt in zip(count(first), sorts)]
-    gained = defaultdict(list)
+    gained = [[] for _ in range(first)]  # old id -> its fresh neighbours
     for e, spawner in enumerate(spawners, first):
         for q in spawner:
             gained[q].append(e)
-    adj = list(s._adj)
-    for q, new in gained.items():
-        # copied as build() copies: a union leaves a sparser table, slower to scan
-        adj[q] = frozenset({*adj[q], *new})
+    # copied as build() copies: a union leaves a sparser table, slower to scan
+    adj = [frozenset({*a, *new}) if new else a for a, new in zip(s._adj, gained)]
     nxt = IncidenceStructure(s.params, s._sorts + sorts, s._names + tuple(names),
                              tuple(adj) + spawners)
     nxt._points = s.points + tuple(range(cut, end))

@@ -139,7 +139,9 @@ def colex_combinations(items: Sequence[int], k: int) -> Iterator[tuple]:
 
 class _Store:
     """The element readers of a store: ``_sorts``, ``_names`` and ``_adj``
-    indexed by element id, and ``_ids`` from name to id."""
+    indexed by element id, and ``_ids`` from name to id.  A builder keeps
+    ``_ids`` up to date as it adds elements; an ``IncidenceStructure``
+    builds it on first use."""
 
     __slots__ = ()
 
@@ -172,11 +174,15 @@ class IncidenceStructure(_Store):
     Element ids are 0..N-1 in creation order.  Adjacency is stored per
     element as a frozenset of opposite-sort ids.  The point and line tuples
     are computed on first use and kept; ``completion._step`` sets them from
-    the previous stage's instead.
+    the previous stage's instead.  The name index ``_ids`` is also built on
+    first use and kept.  Only ``by_name``, ``has_name``,
+    ``StructureBuilder._copy`` and the rare renaming in ``completion._step``
+    read it, so completion stages, found planes and ``induced`` results are
+    made and written out without building it.
     """
 
     __slots__ = (
-        "params", "_sorts", "_names", "_adj", "_ids", "_hash",
+        "params", "_sorts", "_names", "_adj", "_index", "_hash",
         "_points", "_lines",
     )
 
@@ -191,12 +197,19 @@ class IncidenceStructure(_Store):
         self._sorts = sorts
         self._names = names
         self._adj = adj
-        self._ids = dict(zip(names, range(len(names))))
+        self._index = None
         self._hash = None
         self._points = None
         self._lines = None
 
     # -- basic accessors ---------------------------------------------------
+
+    @property
+    def _ids(self) -> dict:
+        """name -> element id, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self._names, range(len(self._names))))
+        return self._index
 
     @property
     def points(self) -> tuple:

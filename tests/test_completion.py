@@ -349,7 +349,11 @@ def test_padded_stages_keep_the_fixpoint_records(triangle_points):
     check_steps(triangle_points, 4)
 
 
-NAME_POOL = [pre + str(i) for pre in ("p", "l", "_p", "_l", "__l") for i in range(16)]
+# the last four look like fresh names to a careless check: a tail with a
+# leading zero, digits outside ASCII that int() refuses (a superscript) or
+# reads (Arabic-Indic three), and a tail past int()'s default digit limit
+NAME_POOL = [pre + str(i) for pre in ("p", "l", "_p", "_l", "__l") for i in range(16)] + [
+    "l07", "l\u00b2", "p\u0663", "l" + "9" * 5000]
 
 
 @given(st.data())
@@ -384,6 +388,13 @@ def test_fresh_names_step_past_taken_ones():
         # names held by the base at ids beyond its size
         (("a", "b", "l7"), ("p10", "u", "v"),
          ["l6", "_l7", "l8", "p9", "_p10", "p11"]),
+        # fresh lines 3..5: the base holds the last one's name
+        (("a", "b", "l5"), (), ["l3", "l4", "_l5"]),
+        # fresh lines 7..27: the base holds the names of id 28, the first
+        # past the new stage, the point name of a fresh line, and names
+        # int() reads as fresh ids (or refuses) but str() never writes
+        (("l28", "p28", "p7", "l07", "l\u0668", "l\u2079", "l" + "5" * 5000), (),
+         [f"l{e}" for e in range(7, 28)]),
     ]:
         seed = build(2, 2, points=points, lines=lines)
         stage = free_completion(seed, 1).final.structure

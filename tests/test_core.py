@@ -7,11 +7,13 @@ nothing shared with the library's scanning order or early exits.
 """
 
 import ast
+import copy
 import functools
 import itertools
 import math
 import operator
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -634,6 +636,35 @@ def test_accessors(quadrangle):
     assert s.is_point(0) and not s.is_line(0)
     assert s.sort(0) is Sort.POINT
     assert s.incidence_count() == 0
+
+
+def check_name_index(s):
+    """``by_name`` and ``has_name`` agree with ``name`` on every element of
+    ``s``, and an unknown name is refused."""
+    for e in s.elements():
+        assert s.has_name(s.name(e)) and s.by_name(s.name(e)) == e
+    assert not s.has_name("no such name")
+    with pytest.raises(ParameterError, match="no element named"):
+        s.by_name("no such name")
+
+
+def test_the_name_index_is_built_on_first_use():
+    run = completion.free_completion(quadrangle_structure(), 7)
+    assert run.sizes()[-1] == 37_561
+    # a completion reads no names back: no stage builds its index
+    assert all(st.structure._index is None for st in run.stages)
+    kmnfree.finsearch.clear_plane_cache()  # a cached plane may have built its index
+    plane = kmnfree.find_projective_plane(3).plane
+    sub, _ = induced(run.stages[3].structure, range(0, 16, 3))
+    for s in (run.stages[5].structure, run.final.structure, plane, sub):
+        for built in (False, True):
+            if built:
+                check_name_index(s)
+                assert s._index is not None
+            for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert again == s and hash(again) == hash(s)
+                assert (again._index is not None) is built
+                check_name_index(again)
 
 
 def test_common_neighbors_and_induced():
